@@ -24,6 +24,8 @@ impl Client {
     /// Connect and complete the Hello exchange.
     pub fn connect(addr: &str) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // Request frames are small and latency-bound (see `write_frame`).
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut client = Self {
             reader: BufReader::new(stream),

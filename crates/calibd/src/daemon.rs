@@ -13,6 +13,15 @@
 //! work that was in flight, and the resumed outcome digest is
 //! bit-for-bit what an uninterrupted run would have produced.
 //!
+//! The log survives a process kill at any point: startup ends a torn
+//! final line ([`lodsel::ledger::heal_torn_tail`]) before appending, and
+//! an append that failed part-way makes the next one start on a fresh
+//! line, so an event is never glued onto a fragment and lost at the next
+//! replay. A job is acknowledged only once its `Submitted` event is
+//! written; if it cannot be, the submission is refused with
+//! [`Response::Error`] and its quota charge refunded. (Appends are
+//! flushed, not synced: power loss is out of scope, as for the ledger.)
+//!
 //! ## Quota semantics
 //!
 //! Admission charges a job's full planned evaluation count against its
@@ -35,7 +44,7 @@ use crate::proto::{
     check_hello, counter_event, parse_request, read_frame, write_frame, FrameError, JobSpec,
     JobState, JobStatus, ProtoError, Request, Response, SCHEMA_NAME, SCHEMA_VERSION,
 };
-use lodsel::ledger::{ledger_status, Ledger, LedgerEvent, LedgerStatus};
+use lodsel::ledger::{heal_torn_tail, ledger_status, Ledger, LedgerEvent, LedgerStatus};
 use lodsel::prelude::{
     BatchFamily, BudgetPolicy, GridFamily, MpiFamily, SweepConfig, VersionFamily, WfFamily,
 };
@@ -45,7 +54,7 @@ use serde::{Deserialize, Serialize};
 use simcal::prelude::{Budget, QuotaBook};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::OpenOptions;
-use std::io::{self, BufReader, Write as _};
+use std::io::{self, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -204,16 +213,41 @@ struct Shared {
     ready: Condvar,
     shutdown: AtomicBool,
     quotas: QuotaBook,
-    jobs_log: Mutex<std::fs::File>,
+    jobs_log: Mutex<JobLog>,
+}
+
+/// The append handle of `jobs.jsonl`.
+struct JobLog {
+    file: std::fs::File,
+    /// A failed append may have left a partial line behind; the next
+    /// append then starts on a fresh line.
+    torn: bool,
 }
 
 impl Shared {
-    fn log_event(&self, event: &JobEvent) {
-        if let Ok(line) = serde_json::to_string(event) {
-            let mut file = self.jobs_log.lock().expect("jobs log lock");
-            let _ = file.write_all(line.as_bytes());
-            let _ = file.write_all(b"\n");
-            let _ = file.flush();
+    /// Append one event to the job log as a single write, and flush it.
+    fn log_event(&self, event: &JobEvent) -> io::Result<()> {
+        let line = serde_json::to_string(event)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let mut log = self.jobs_log.lock().expect("jobs log lock");
+        let mut frame = Vec::with_capacity(line.len() + 2);
+        if log.torn {
+            frame.push(b'\n');
+        }
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        log.torn = true;
+        log.file.write_all(&frame)?;
+        log.file.flush()?;
+        log.torn = false;
+        Ok(())
+    }
+
+    /// Append a lifecycle event whose failure cannot be answered to a
+    /// client; the failure is reported, and the in-memory state carries on.
+    fn log_or_report(&self, event: &JobEvent) {
+        if let Err(e) = self.log_event(event) {
+            obs::diag!("jobs log append failed: {e}");
         }
     }
 }
@@ -266,12 +300,15 @@ impl Daemon {
         for (tenant, limit) in &config.tenant_quotas {
             quotas.set_limit(tenant, *limit);
         }
-        let log_path = config.data_dir.join("jobs.jsonl");
-        let registry = replay(&log_path, &quotas)?;
-        let jobs_log = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
-            .open(&log_path)?;
+            .open(config.data_dir.join("jobs.jsonl"))?;
+        let mut text = String::new();
+        file.read_to_string(&mut text)?;
+        heal_torn_tail(&mut file, &text)?;
+        let registry = replay(&text, &quotas);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -281,7 +318,7 @@ impl Daemon {
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             quotas,
-            jobs_log: Mutex::new(jobs_log),
+            jobs_log: Mutex::new(JobLog { file, torn: false }),
         });
 
         let mut threads = Vec::new();
@@ -297,15 +334,10 @@ impl Daemon {
     }
 }
 
-/// Rebuild the registry from the job log, re-applying quota charges and
-/// refunds, and re-queue every non-terminal job in id order.
-fn replay(log_path: &Path, quotas: &QuotaBook) -> io::Result<Registry> {
+/// Rebuild the registry from the job log's text, re-applying quota
+/// charges and refunds, and re-queue every non-terminal job in id order.
+fn replay(text: &str, quotas: &QuotaBook) -> Registry {
     let mut registry = Registry::default();
-    let text = match std::fs::read_to_string(log_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let Ok(event) = serde_json::from_str::<JobEvent>(line) else {
             continue; // torn tail or foreign line: lenient, like the ledger
@@ -366,7 +398,7 @@ fn replay(log_path: &Path, quotas: &QuotaBook) -> io::Result<Registry> {
     for (id, tenant) in pending {
         registry.queue.push(&tenant, id);
     }
-    Ok(registry)
+    registry
 }
 
 /// Instantiate the family a spec names.
@@ -502,7 +534,7 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
     };
     let digest = outcome.digest();
     let chosen = outcome.recommendation.as_ref().map(|r| r.chosen.clone());
-    shared.log_event(&JobEvent::Completed {
+    shared.log_or_report(&JobEvent::Completed {
         id,
         digest: digest.clone(),
         chosen: chosen.clone(),
@@ -515,8 +547,8 @@ fn execute_job(shared: &Arc<Shared>, id: u64) {
     }
 }
 
-fn finalize_failed(shared: &Arc<Shared>, id: u64, error: String) {
-    shared.log_event(&JobEvent::Failed {
+fn finalize_failed(shared: &Shared, id: u64, error: String) {
+    shared.log_or_report(&JobEvent::Failed {
         id,
         error: error.clone(),
     });
@@ -528,8 +560,8 @@ fn finalize_failed(shared: &Arc<Shared>, id: u64, error: String) {
     }
 }
 
-fn finalize_cancelled(shared: &Arc<Shared>, id: u64) {
-    shared.log_event(&JobEvent::Cancelled { id });
+fn finalize_cancelled(shared: &Shared, id: u64) {
+    shared.log_or_report(&JobEvent::Cancelled { id });
     let mut registry = shared.registry.lock().expect("registry lock");
     if let Some(job) = registry.jobs.get_mut(&id) {
         job.state = JobState::Cancelled;
@@ -610,13 +642,22 @@ fn admit(shared: &Shared, spec: JobSpec) -> Response {
     let mut registry = shared.registry.lock().expect("registry lock");
     registry.next_id = registry.next_id.max(1);
     let id = registry.next_id;
+    // A failed append may still have written part of the event, so the
+    // id is spent either way; but the job exists — its id acknowledged
+    // and its quota kept — only once the Submitted event is written.
     registry.next_id += 1;
-    shared.log_event(&JobEvent::Submitted {
+    if let Err(e) = shared.log_event(&JobEvent::Submitted {
         id,
         spec: spec.clone(),
         shards,
         planned_evals: planned,
-    });
+    }) {
+        drop(registry);
+        shared.quotas.refund(&spec.tenant, planned);
+        return Response::Error {
+            message: format!("cannot record the submission in the job log: {e}"),
+        };
+    }
     let tenant = spec.tenant.clone();
     registry.jobs.insert(
         id,
@@ -650,7 +691,7 @@ fn handle_cancel(shared: &Shared, id: u64) -> Response {
         JobState::Queued => {
             registry.queue.remove(id);
             drop(registry);
-            finalize_cancelled_locked(shared, id);
+            finalize_cancelled(shared, id);
             let registry = shared.registry.lock().expect("registry lock");
             let job = &registry.jobs[&id];
             Response::Jobs {
@@ -665,15 +706,6 @@ fn handle_cancel(shared: &Shared, id: u64) -> Response {
         state => Response::Error {
             message: format!("job {id} is already {state:?}"),
         },
-    }
-}
-
-fn finalize_cancelled_locked(shared: &Shared, id: u64) {
-    shared.log_event(&JobEvent::Cancelled { id });
-    let mut registry = shared.registry.lock().expect("registry lock");
-    if let Some(job) = registry.jobs.get_mut(&id) {
-        job.state = JobState::Cancelled;
-        shared.quotas.refund(&job.spec.tenant, job.planned_evals);
     }
 }
 
@@ -760,6 +792,9 @@ fn handle_watch(shared: &Shared, id: u64, out: &mut TcpStream) -> io::Result<()>
 }
 
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
+    // Frames are small request/response lines: send each immediately
+    // instead of letting Nagle wait for the peer's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
 
@@ -929,6 +964,48 @@ mod tests {
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), Some(4));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn unpersistable_submission_is_refused_and_refunded() {
+        let dir = std::env::temp_dir().join(format!("calibd-unit-ro-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("jobs.jsonl");
+        std::fs::write(&path, "").unwrap();
+        // A read-only handle: every append to the job log fails.
+        let file = std::fs::File::open(&path).unwrap();
+        let shared = Shared {
+            config: DaemonConfig::local(&dir),
+            addr: "127.0.0.1:0".parse().unwrap(),
+            registry: Mutex::new(Registry::default()),
+            ready: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            quotas: QuotaBook::new(1_000),
+            jobs_log: Mutex::new(JobLog { file, torn: false }),
+        };
+        let spec = JobSpec {
+            family: "batch".into(),
+            fast: true,
+            budget_evals: 2,
+            total_evals: None,
+            restarts: 1,
+            seed: 1,
+            epsilon: 0.1,
+            shards: 1,
+            tenant: "t".into(),
+            sh_eta: None,
+            sh_min_scenarios: None,
+        };
+        match admit(&shared, spec) {
+            Response::Error { message } => assert!(message.contains("job log"), "{message}"),
+            other => panic!("an unrecorded submission must not be accepted: {other:?}"),
+        }
+        assert_eq!(shared.quotas.charged("t"), 0, "the charge is refunded");
+        assert!(shared.registry.lock().unwrap().jobs.is_empty());
+        // The failed append may have left a fragment: the next append
+        // starts on a fresh line.
+        assert!(shared.jobs_log.lock().unwrap().torn);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

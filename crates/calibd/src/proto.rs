@@ -307,8 +307,11 @@ impl From<io::Error> for FrameError {
 pub fn write_frame<T: Serialize>(writer: &mut impl Write, value: &T) -> io::Result<()> {
     let line = serde_json::to_string(value)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    // One write per frame: a separate write for the newline would leave
+    // it waiting on the peer's delayed ACK under Nagle's algorithm.
+    let mut frame = line.into_bytes();
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
     writer.flush()
 }
 

@@ -14,6 +14,7 @@ use lodsel::prelude::{BatchFamily, BudgetPolicy, SweepConfig};
 use lodsel::shard::{run_shard, shard_path};
 use lodsel::sweep::{run_sweep, try_run_sweep};
 use simcal::prelude::Budget;
+use std::fs::OpenOptions;
 use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -166,6 +167,52 @@ fn daemon_restart_resumes_without_recalibrating_completed_runs() {
     let fresh = run_sweep(&BatchFamily::paper(true, 11), &toy_config(11), None);
     assert_eq!(digest.as_deref(), Some(fresh.digest().as_str()));
 
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Ids of every job the daemon at `dir` knows after a (re)start.
+fn job_ids_after_restart(dir: &Path) -> Vec<u64> {
+    let handle = Daemon::start(config(dir, 0)).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    let ids = client.status(None).unwrap().iter().map(|j| j.job).collect();
+    handle.stop();
+    ids
+}
+
+#[test]
+fn torn_job_log_tail_never_loses_an_acknowledged_job() {
+    let dir = tmp_dir("torn-log");
+    // Zero workers: jobs are accepted and stay queued, nothing runs.
+    let handle = Daemon::start(config(&dir, 0)).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    assert_eq!(client.submit(toy_spec(3, 1, "ann")).unwrap(), 1);
+    handle.stop();
+
+    // A kill mid-append leaves a torn final line in the job log.
+    let mut log = OpenOptions::new()
+        .append(true)
+        .open(dir.join("jobs.jsonl"))
+        .unwrap();
+    write!(log, "{{\"Submitted\":{{\"id\":2,\"spec\":{{\"fam").unwrap();
+    drop(log);
+
+    // The restarted daemon still knows job 1 and acknowledges the next
+    // submission under a fresh id.
+    let handle = Daemon::start(config(&dir, 0)).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    let listed: Vec<u64> = client.status(None).unwrap().iter().map(|j| j.job).collect();
+    assert_eq!(listed, vec![1]);
+    assert_eq!(client.submit(toy_spec(4, 1, "ann")).unwrap(), 2);
+    handle.stop();
+
+    // The job acknowledged after the torn tail was not glued onto the
+    // fragment: it survives the next restart, and its id is never
+    // handed out again.
+    assert_eq!(job_ids_after_restart(&dir), vec![1, 2]);
+    let handle = Daemon::start(config(&dir, 0)).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    assert_eq!(client.submit(toy_spec(5, 1, "ann")).unwrap(), 3);
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

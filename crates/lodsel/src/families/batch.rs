@@ -7,14 +7,14 @@
 //! total work and hide it). A sweep unit is one version, and its summary
 //! samples are the per-trace mean turnaround errors.
 
-use crate::family::{SweepUnit, UnitEval, VersionFamily};
+use crate::family::{calibrate_objective, SweepUnit, UnitEval, VersionFamily};
 use batchsim::prelude::{
     dataset, objective, BatchEmulatorConfig, BatchScenario, BatchSimulator, BatchVersion,
     WorkloadSpec,
 };
 use simcal::prelude::{
-    relative_error, Agg, Budget, CacheFingerprint, Calibration, CalibrationResult, Calibrator,
-    ElementMix, Fidelity, StructuredLoss, SubsampledObjective,
+    relative_error, Agg, Budget, Calibration, CalibrationResult, ElementMix, Fidelity,
+    StructuredLoss,
 };
 
 /// The batch simulator family: 4 versions × one unit each.
@@ -162,9 +162,8 @@ impl VersionFamily for BatchFamily {
 
     fn calibrate(&self, unit: &SweepUnit, budget: Budget, seed: u64) -> CalibrationResult {
         let sim = BatchSimulator::new(self.versions[unit.version], self.total_nodes);
-        let obj = objective(&sim, &self.train, self.loss.clone())
-            .with_cache_fingerprint(CacheFingerprint::of("batch", &unit.label, self.fingerprint));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
+        let obj = objective(&sim, &self.train, self.loss.clone());
+        calibrate_objective(self, unit, obj, budget, seed, &Fidelity::full())
     }
 
     fn calibrate_at(
@@ -174,25 +173,9 @@ impl VersionFamily for BatchFamily {
         seed: u64,
         fidelity: &Fidelity,
     ) -> CalibrationResult {
-        if fidelity.is_full(self.train.len()) {
-            return self.calibrate(unit, budget, seed);
-        }
         let sim = BatchSimulator::new(self.versions[unit.version], self.total_nodes);
-        let indices = fidelity.indices(self.train.len(), seed);
-        let obj = SubsampledObjective::new(
-            &sim,
-            &self.train,
-            &indices,
-            self.loss.clone(),
-            self.versions[unit.version].parameter_space(),
-        );
-        let tag = obj.tag();
-        let obj = obj.with_cache_fingerprint(CacheFingerprint::of(
-            "batch",
-            &format!("{}#sub{tag:016x}", unit.label),
-            self.fingerprint,
-        ));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
+        let obj = objective(&sim, &self.train, self.loss.clone());
+        calibrate_objective(self, unit, obj, budget, seed, fidelity)
     }
 
     fn evaluate(&self, unit: &SweepUnit, calibration: &Calibration) -> UnitEval {

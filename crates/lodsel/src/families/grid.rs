@@ -8,13 +8,13 @@
 //! unit is one version, and its summary samples are the per-workload
 //! mean turnaround errors.
 
-use crate::family::{SweepUnit, UnitEval, VersionFamily};
+use crate::family::{calibrate_objective, SweepUnit, UnitEval, VersionFamily};
 use gridsim::prelude::{
     dataset, objective, GridEmulatorConfig, GridScenario, GridSimulator, GridSpec, GridVersion,
 };
 use simcal::prelude::{
-    relative_error, Agg, Budget, CacheFingerprint, Calibration, CalibrationResult, Calibrator,
-    ElementMix, Fidelity, StructuredLoss, SubsampledObjective,
+    relative_error, Agg, Budget, Calibration, CalibrationResult, ElementMix, Fidelity,
+    StructuredLoss,
 };
 
 /// The data-grid simulator family: 8 versions × one unit each.
@@ -151,9 +151,8 @@ impl VersionFamily for GridFamily {
 
     fn calibrate(&self, unit: &SweepUnit, budget: Budget, seed: u64) -> CalibrationResult {
         let sim = GridSimulator::new(self.versions[unit.version]);
-        let obj = objective(&sim, &self.train, self.loss.clone())
-            .with_cache_fingerprint(CacheFingerprint::of("grid", &unit.label, self.fingerprint));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
+        let obj = objective(&sim, &self.train, self.loss.clone());
+        calibrate_objective(self, unit, obj, budget, seed, &Fidelity::full())
     }
 
     fn calibrate_at(
@@ -163,25 +162,9 @@ impl VersionFamily for GridFamily {
         seed: u64,
         fidelity: &Fidelity,
     ) -> CalibrationResult {
-        if fidelity.is_full(self.train.len()) {
-            return self.calibrate(unit, budget, seed);
-        }
         let sim = GridSimulator::new(self.versions[unit.version]);
-        let indices = fidelity.indices(self.train.len(), seed);
-        let obj = SubsampledObjective::new(
-            &sim,
-            &self.train,
-            &indices,
-            self.loss.clone(),
-            self.versions[unit.version].parameter_space(),
-        );
-        let tag = obj.tag();
-        let obj = obj.with_cache_fingerprint(CacheFingerprint::of(
-            "grid",
-            &format!("{}#sub{tag:016x}", unit.label),
-            self.fingerprint,
-        ));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
+        let obj = objective(&sim, &self.train, self.loss.clone());
+        calibrate_objective(self, unit, obj, budget, seed, fidelity)
     }
 
     fn evaluate(&self, unit: &SweepUnit, calibration: &Calibration) -> UnitEval {

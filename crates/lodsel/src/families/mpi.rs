@@ -7,15 +7,12 @@
 //! samples are the per-scenario mean relative transfer-rate errors —
 //! exactly what Figure 5's bars and error bars aggregate.
 
-use crate::family::{SweepUnit, UnitEval, VersionFamily};
+use crate::family::{calibrate_objective, SweepUnit, UnitEval, VersionFamily};
 use mpisim::prelude::{
     dataset, mean_relative_rate_error, objective, BenchmarkKind, MpiEmulatorConfig, MpiScenario,
     MpiSimulator, MpiSimulatorVersion, NODE_COUNTS,
 };
-use simcal::prelude::{
-    Budget, CacheFingerprint, Calibration, CalibrationResult, Calibrator, Fidelity, MatrixLoss,
-    SubsampledObjective,
-};
+use simcal::prelude::{Budget, Calibration, CalibrationResult, Fidelity, MatrixLoss};
 
 /// Node counts used by the experiments. The paper runs 128/256/512; the
 /// `fast` grid shrinks the base scale (contention structure is preserved)
@@ -133,9 +130,8 @@ impl VersionFamily for MpiFamily {
 
     fn calibrate(&self, unit: &SweepUnit, budget: Budget, seed: u64) -> CalibrationResult {
         let sim = MpiSimulator::new(self.versions[unit.version]);
-        let obj = objective(&sim, &self.scenarios, self.loss.clone())
-            .with_cache_fingerprint(CacheFingerprint::of("mpi", &unit.label, self.fingerprint));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
+        let obj = objective(&sim, &self.scenarios, self.loss.clone());
+        calibrate_objective(self, unit, obj, budget, seed, &Fidelity::full())
     }
 
     fn calibrate_at(
@@ -145,25 +141,9 @@ impl VersionFamily for MpiFamily {
         seed: u64,
         fidelity: &Fidelity,
     ) -> CalibrationResult {
-        if fidelity.is_full(self.scenarios.len()) {
-            return self.calibrate(unit, budget, seed);
-        }
         let sim = MpiSimulator::new(self.versions[unit.version]);
-        let indices = fidelity.indices(self.scenarios.len(), seed);
-        let obj = SubsampledObjective::new(
-            &sim,
-            &self.scenarios,
-            &indices,
-            self.loss.clone(),
-            self.versions[unit.version].parameter_space(),
-        );
-        let tag = obj.tag();
-        let obj = obj.with_cache_fingerprint(CacheFingerprint::of(
-            "mpi",
-            &format!("{}#sub{tag:016x}", unit.label),
-            self.fingerprint,
-        ));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
+        let obj = objective(&sim, &self.scenarios, self.loss.clone());
+        calibrate_objective(self, unit, obj, budget, seed, fidelity)
     }
 
     fn evaluate(&self, unit: &SweepUnit, calibration: &Calibration) -> UnitEval {

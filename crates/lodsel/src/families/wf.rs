@@ -7,10 +7,9 @@
 //! pair, and a version's summary samples are its per-application mean
 //! test errors — exactly what Figure 2's bars and error bars aggregate.
 
-use crate::family::{SweepUnit, UnitEval, VersionFamily};
+use crate::family::{calibrate_objective, SweepUnit, UnitEval, VersionFamily};
 use simcal::prelude::{
-    relative_error, Budget, CacheFingerprint, Calibration, CalibrationResult, Calibrator, Fidelity,
-    StructuredLoss, SubsampledObjective,
+    relative_error, Budget, Calibration, CalibrationResult, Fidelity, StructuredLoss,
 };
 use wfsim::prelude::{
     dataset_for, objective, split_train_test, AppKind, DatasetOptions, SimulatorVersion,
@@ -160,9 +159,8 @@ impl VersionFamily for WfFamily {
 
     fn calibrate(&self, unit: &SweepUnit, budget: Budget, seed: u64) -> CalibrationResult {
         let sim = WorkflowSimulator::new(self.versions[unit.version]);
-        let obj = objective(&sim, &self.splits[unit.slot].train, self.loss.clone())
-            .with_cache_fingerprint(CacheFingerprint::of("wf", &unit.label, self.fingerprint));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
+        let obj = objective(&sim, &self.splits[unit.slot].train, self.loss.clone());
+        calibrate_objective(self, unit, obj, budget, seed, &Fidelity::full())
     }
 
     fn calibrate_at(
@@ -172,26 +170,9 @@ impl VersionFamily for WfFamily {
         seed: u64,
         fidelity: &Fidelity,
     ) -> CalibrationResult {
-        let train = &self.splits[unit.slot].train;
-        if fidelity.is_full(train.len()) {
-            return self.calibrate(unit, budget, seed);
-        }
         let sim = WorkflowSimulator::new(self.versions[unit.version]);
-        let indices = fidelity.indices(train.len(), seed);
-        let obj = SubsampledObjective::new(
-            &sim,
-            train,
-            &indices,
-            self.loss.clone(),
-            self.versions[unit.version].parameter_space(),
-        );
-        let tag = obj.tag();
-        let obj = obj.with_cache_fingerprint(CacheFingerprint::of(
-            "wf",
-            &format!("{}#sub{tag:016x}", unit.label),
-            self.fingerprint,
-        ));
-        Calibrator::bo_gp(budget, seed).calibrate(&obj)
+        let obj = objective(&sim, &self.splits[unit.slot].train, self.loss.clone());
+        calibrate_objective(self, unit, obj, budget, seed, fidelity)
     }
 
     fn evaluate(&self, unit: &SweepUnit, calibration: &Calibration) -> UnitEval {

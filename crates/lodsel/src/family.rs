@@ -5,7 +5,10 @@
 //! sweep orchestrator only ever talks to this trait, so the four case
 //! studies — and any future simulator — plug into the same machinery.
 
-use simcal::prelude::{Budget, Calibration, CalibrationResult, Fidelity};
+use simcal::prelude::{
+    Budget, CacheFingerprint, Calibration, CalibrationResult, Calibrator, Fidelity, Loss,
+    SimulationObjective, Simulator,
+};
 
 /// One calibration work item of a sweep.
 ///
@@ -69,20 +72,20 @@ pub trait VersionFamily: Sync {
     /// Calibrate one unit against its training data.
     fn calibrate(&self, unit: &SweepUnit, budget: Budget, seed: u64) -> CalibrationResult;
 
-    /// Calibrate one unit at a reduced fidelity: against the
-    /// deterministic, seed-derived scenario subset `fidelity` selects
-    /// out of the unit's training data ([`simcal::fidelity`]). The cheap
-    /// rungs of successive-halving sweeps call this instead of
-    /// [`VersionFamily::calibrate`].
+    /// Calibrate one unit at `fidelity`: against the deterministic,
+    /// seed-derived scenario subset `fidelity` selects out of the unit's
+    /// training data ([`simcal::fidelity`]). The sweep executor calibrates
+    /// every run through this method — fixed-budget runs at
+    /// [`Fidelity::full`], successive-halving rungs at their rung's
+    /// fidelity.
     ///
     /// Contract: at full fidelity (`fidelity.is_full(n)` for the unit's
     /// `n` training scenarios) this must return **bit-for-bit** what
-    /// `calibrate(unit, budget, seed)` returns — implementations should
-    /// simply delegate in that case, which also shares loss-cache
-    /// entries with fixed-budget sweeps. At reduced fidelity the subset
-    /// objective must carry a subset-specific cache fingerprint
-    /// ([`simcal::fidelity::SubsampledObjective::tag`]) so subset losses
-    /// never collide with full-set losses.
+    /// `calibrate(unit, budget, seed)` returns, and at reduced fidelity
+    /// the subset's losses must never share cache entries with full-set
+    /// losses. Families built on a [`SimulationObjective`] get both by
+    /// construction by implementing both methods with
+    /// [`calibrate_objective`].
     ///
     /// The default ignores `fidelity` and calibrates at full fidelity —
     /// correct for any family (successive halving then only saves budget,
@@ -101,4 +104,35 @@ pub trait VersionFamily: Sync {
 
     /// Evaluate a calibration on the unit's held-out test data.
     fn evaluate(&self, unit: &SweepUnit, calibration: &Calibration) -> UnitEval;
+}
+
+/// Calibrate `unit` of `family` against `objective` at `fidelity`: the
+/// one calibration body every shipped family shares.
+///
+/// The objective is narrowed to the fidelity's scenario subset
+/// ([`SimulationObjective::at_fidelity`]), given the unit's persistent
+/// cache fingerprint — `label#sub<tag>` for a subset, so subset losses
+/// never collide with full-set ones — and minimized by the sweep's
+/// search, [`Calibrator::bo_gp`]. At full fidelity the objective is
+/// untouched, which is what makes `calibrate_at(.., Fidelity::full())`
+/// equal `calibrate(..)` bit-for-bit.
+pub fn calibrate_objective<S: Simulator, L: Loss<S::Output>>(
+    family: &dyn VersionFamily,
+    unit: &SweepUnit,
+    objective: SimulationObjective<'_, S, L>,
+    budget: Budget,
+    seed: u64,
+    fidelity: &Fidelity,
+) -> CalibrationResult {
+    let objective = objective.at_fidelity(fidelity, seed);
+    let label = match objective.tag() {
+        Some(tag) => format!("{}#sub{tag:016x}", unit.label),
+        None => unit.label.clone(),
+    };
+    let objective = objective.with_cache_fingerprint(CacheFingerprint::of(
+        family.name(),
+        &label,
+        family.fingerprint(),
+    ));
+    Calibrator::bo_gp(budget, seed).calibrate(&objective)
 }

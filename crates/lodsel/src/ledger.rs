@@ -503,15 +503,7 @@ impl Ledger {
             .map_err(at)?;
         let mut text = String::new();
         file.read_to_string(&mut text).map_err(at)?;
-        // Heal a torn tail (a kill mid-write leaves no trailing newline):
-        // start the next append on a fresh line so it parses on its own.
-        if !text.is_empty() && !text.ends_with('\n') {
-            retry_transient(|| {
-                file.write_all(b"\n")?;
-                file.flush()
-            })
-            .map_err(at)?;
-        }
+        heal_torn_tail(&mut file, &text).map_err(at)?;
         let events = parse_events(&text);
         Ok(Ledger {
             path,
@@ -687,6 +679,21 @@ pub(crate) fn retry_transient<T>(mut op: impl FnMut() -> io::Result<T>) -> io::R
     }
 }
 
+/// Heal the torn tail of an append-only JSONL file whose current content
+/// is `text`: a kill mid-write leaves no trailing newline, so end that
+/// fragment and start the next append on a fresh line where it parses on
+/// its own (lenient readers skip the fragment). `file` must be open for
+/// appending. Shared by every JSONL store that appends after a restart.
+pub fn heal_torn_tail(file: &mut File, text: &str) -> io::Result<()> {
+    if !text.is_empty() && !text.ends_with('\n') {
+        retry_transient(|| {
+            file.write_all(b"\n")?;
+            file.flush()
+        })?;
+    }
+    Ok(())
+}
+
 /// Parse JSONL leniently: skip blank and unparseable lines.
 fn parse_events(text: &str) -> Vec<LedgerEvent> {
     text.lines()
@@ -840,9 +847,18 @@ mod tests {
         let _ = std::fs::remove_dir(&dir);
     }
 
+    /// The retry tests bump the process-global `LedgerRetries` counter;
+    /// they serialize on this lock so one test's retries never land in
+    /// another's recorder.
+    fn retry_counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn retry_transient_retries_interrupted_writes_and_counts_them() {
         use std::io::ErrorKind;
+        let _serial = retry_counter_lock();
         let recorder = std::sync::Arc::new(obs::TraceRecorder::new());
         obs::install(recorder.clone());
         let mut attempts = 0;
@@ -874,6 +890,7 @@ mod tests {
     #[test]
     fn retry_transient_is_bounded_for_persistent_transient_errors() {
         use std::io::ErrorKind;
+        let _serial = retry_counter_lock();
         let mut attempts = 0;
         let out: io::Result<()> = retry_transient(|| {
             attempts += 1;

@@ -27,10 +27,8 @@
 use crate::family::VersionFamily;
 use crate::ledger::{Ledger, LedgerEvent};
 use crate::sweep::{
-    calibrate_one, plan_sweep, run_sh_phase, sweep_fingerprint, try_run_sweep, RunStatus,
-    SweepConfig, SweepError, SweepOutcome,
+    plan_sweep, sweep_fingerprint, try_run_sweep, Executor, SweepConfig, SweepError, SweepOutcome,
 };
-use rayon::prelude::*;
 use std::collections::HashSet;
 use std::fmt;
 use std::io;
@@ -158,12 +156,8 @@ pub fn run_shard(
     }
     let path = shard_path(dir, index);
     let ledger = Ledger::open(&path)?;
-    let events = ledger.events();
-    if events
-        .iter()
-        .any(|e| matches!(e, LedgerEvent::ShardStarted { .. }))
-    {
-        let found = shard_header(&path, &events)?;
+    // A fresh shard file has no header yet; an existing one must be ours.
+    if let Ok(found) = shard_header(&path, &ledger.events()) {
         if found != fp {
             return Err(ShardError::FingerprintMismatch {
                 path,
@@ -182,78 +176,30 @@ pub fn run_shard(
         })
         .map_err(ShardError::Io)?;
 
-    let active_units = config
-        .max_units
-        .unwrap_or(planned.units.len())
-        .min(planned.units.len());
-
-    // Successive halving runs the full rung ladder into the (single)
-    // shard ledger: rung records and promotion decisions land there, and
-    // the post-merge replay serves everything from them.
-    if let Some(schedule) = &planned.schedule {
-        let active_plans: Vec<_> = planned
-            .plans
-            .iter()
-            .take(active_units * planned.restarts)
-            .collect();
-        let phase = run_sh_phase(
-            family,
-            &planned.labels,
-            &planned.units,
-            schedule,
-            &active_plans,
-            config,
-            Some(&ledger),
-        );
-        return Ok(phase.executed);
-    }
-
-    let (cached_runs, _) = ledger.checkpoints();
-    let failure_history = ledger.failure_history();
-    let max_attempts = 1 + config.max_fault_retries;
-    let attempts_of = |key: u64| failure_history.get(&key).map_or(0, |h| h.attempts);
     // This shard's slice: round-robin over the truncation-aware plan
-    // prefix, minus work already checkpointed or out of retries.
-    let pending: Vec<_> = planned
-        .plans
-        .iter()
-        .take(active_units * planned.restarts)
-        .enumerate()
-        .filter(|(i, _)| i % shards == index)
-        .map(|(_, p)| p)
-        .filter(|p| !cached_runs.contains_key(&p.key) && attempts_of(p.key) < max_attempts)
-        .collect();
-
-    let shard_span = obs::span!(
-        "shard",
-        index = index,
-        shards = shards,
-        pending = pending.len()
+    // prefix. Successive halving (one shard only) runs the full rung
+    // ladder into the shard ledger: rung records and promotion decisions
+    // land there, and the post-merge replay serves everything from them.
+    let executor = Executor::new(
+        family,
+        &planned,
+        config,
+        Some((index, shards)),
+        Some(&ledger),
     );
-    let shard_id = shard_span.id();
-    let statuses: Vec<RunStatus> = pending
-        .par_iter()
-        .map(|p| {
-            let attrs = if obs::enabled() {
-                vec![
-                    ("unit", planned.units[p.unit_idx].label.clone()),
-                    ("restart", p.restart.to_string()),
-                ]
-            } else {
-                Vec::new()
-            };
-            let _run = obs::SpanGuard::enter_under("run", shard_id, attrs);
-            let attempt = attempts_of(p.key) + 1;
-            calibrate_one(
-                family,
-                &planned.units[p.unit_idx],
-                p,
-                attempt,
-                Some(&ledger),
-            )
-        })
-        .collect();
-    Ok(statuses.len())
+    // Only fixed-budget shards open a `shard` span; successive halving
+    // parents its `rung` spans to the caller's span.
+    let shard_span = planned.schedule.is_none().then(|| {
+        obs::span!(
+            "shard",
+            index = index,
+            shards = shards,
+            pending = executor.pending()
+        )
+    });
+    Ok(executor
+        .run(shard_span.as_ref().and_then(obs::SpanGuard::id))
+        .attempted)
 }
 
 /// Merge shard ledgers into the target ledger at `target`, validating
@@ -301,15 +247,11 @@ pub fn merge_shards(shard_paths: &[PathBuf], target: &Path) -> Result<Ledger, Sh
         }
         for event in &events {
             match event {
-                LedgerEvent::RunCompleted { record } => {
-                    if seen_runs.insert(record.key) {
-                        merged.append(event).map_err(ShardError::Io)?;
-                    }
-                }
-                LedgerEvent::RungCompleted { record, .. } => {
-                    // Rung keys are content hashes of (base, rung,
-                    // budget, subset), so first-write-wins per key is as
-                    // idempotent as plain run records.
+                // Rung keys are content hashes of (base, rung, budget,
+                // subset), so first-write-wins per key is as idempotent
+                // for rung records as for plain run records.
+                LedgerEvent::RunCompleted { record }
+                | LedgerEvent::RungCompleted { record, .. } => {
                     if seen_runs.insert(record.key) {
                         merged.append(event).map_err(ShardError::Io)?;
                     }

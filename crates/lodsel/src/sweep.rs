@@ -3,6 +3,11 @@
 //! the work-stealing pool, and reduce everything to per-version outcomes
 //! plus the Pareto recommendation.
 //!
+//! One executor (`Executor`) runs the calibration runs of every sweep:
+//! the budget policy is a schedule of rungs it executes — a single rung
+//! for fixed budgets, a successive-halving ladder otherwise — and sharded
+//! sweeps ([`crate::shard`]) hand it their slice of the plan.
+//!
 //! Determinism contract: with [`simcal::prelude::Budget::Evaluations`]
 //! budgets, a sweep's deterministic outcome — everything covered by
 //! [`SweepOutcome::digest`] — is identical across thread counts, across
@@ -12,7 +17,7 @@
 //!
 //! Failure model: a simulator version that panics or yields only
 //! non-finite values must not take the whole sweep down. Every
-//! `family.calibrate` / `family.evaluate` call runs under
+//! `family.calibrate_at` / `family.evaluate` call runs under
 //! [`simcal::fault::guard`]; a crash becomes a
 //! [`LedgerEvent::RunFailed`] event and a [`RunFailure`] row in the
 //! outcome, the affected version drops out of the recommendation, and a
@@ -27,6 +32,7 @@ use crate::ledger::{
 };
 use crate::multistart::{pick_best, restart_seed};
 use crate::pareto::{pareto_front, try_recommend, Recommendation};
+use obs::SpanId;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use simcal::prelude::{Budget, CalibrationResult, Fidelity};
@@ -149,37 +155,26 @@ pub fn sweep_fingerprint(family: &dyn VersionFamily, config: &SweepConfig) -> u6
 
 /// Installs a sweep's persistent-cache directory for its duration and
 /// restores the previous process-global state on drop (panic-safe).
-pub(crate) struct CacheScope {
-    previous: Option<std::sync::Arc<PathBuf>>,
-    active: bool,
-}
+/// Holds `None` when the sweep leaves the cache state untouched, else the
+/// directory that was installed before it.
+pub(crate) struct CacheScope(Option<Option<std::sync::Arc<PathBuf>>>);
 
 impl CacheScope {
     pub(crate) fn activate(dir: Option<&std::path::Path>) -> Self {
-        match dir {
-            Some(d) => {
-                let previous = simcal::cache::installed();
-                simcal::cache::install(d);
-                Self {
-                    previous,
-                    active: true,
-                }
-            }
-            None => Self {
-                previous: None,
-                active: false,
-            },
-        }
+        Self(dir.map(|d| {
+            let previous = simcal::cache::installed();
+            simcal::cache::install(d);
+            previous
+        }))
     }
 }
 
 impl Drop for CacheScope {
     fn drop(&mut self) {
-        if self.active {
-            match self.previous.take() {
-                Some(p) => simcal::cache::install(p.as_ref().clone()),
-                None => simcal::cache::uninstall(),
-            }
+        match self.0.take() {
+            Some(Some(previous)) => simcal::cache::install(previous.as_ref().clone()),
+            Some(None) => simcal::cache::uninstall(),
+            None => {}
         }
     }
 }
@@ -558,6 +553,9 @@ pub(crate) struct PlannedSweep {
     pub(crate) fingerprint: u64,
     pub(crate) labels: Vec<String>,
     pub(crate) units: Vec<SweepUnit>,
+    /// Units this execution covers: all of them unless
+    /// [`SweepConfig::max_units`] truncates the sweep.
+    pub(crate) active_units: usize,
     pub(crate) restarts: usize,
     pub(crate) policy_json: String,
     pub(crate) plans: Vec<RunPlan>,
@@ -578,61 +576,50 @@ pub(crate) fn plan_sweep(
     let name = family.name().to_string();
     let fingerprint = family.fingerprint();
     let policy_json = serde_json::to_string(&config.budget).expect("policy serializes");
+    let runs = units.len() * restarts;
+    let budgets = run_budgets(&config.budget, runs)?;
     let schedule = match config.budget {
         BudgetPolicy::SuccessiveHalving {
             total,
             eta,
             min_scenarios,
-        } => Some(ShSchedule::plan(
-            units.len() * restarts,
-            total,
-            eta,
-            min_scenarios,
-        )?),
+        } => Some(ShSchedule::plan(runs, total, eta, min_scenarios)?),
         _ => None,
     };
-    let budgets = run_budgets(&config.budget, units.len() * restarts)?;
-    let plans: Vec<RunPlan> = units
-        .iter()
-        .enumerate()
-        .flat_map(|(ui, unit)| {
-            let budgets = &budgets;
-            let name = &name;
-            let policy_json = &policy_json;
-            let sh = schedule.is_some();
-            (0..restarts).map(move |r| {
-                let seed = restart_seed(config.seed, r);
-                let budget = budgets[ui * restarts + r];
-                // A successive-halving run's base key covers the whole
-                // policy (not just the nominal rung-0 budget), so two SH
-                // configurations that happen to share a rung-0 budget
-                // never replay each other's rung records or decisions.
-                let key = if sh {
-                    fnv1a(
-                        format!(
-                            "shrun|family={name}|fp={fingerprint:016x}|unit={}|restart={r}|\
-                             seed={seed}|policy={policy_json}",
-                            unit.label
-                        )
-                        .as_bytes(),
+    let mut plans = Vec::with_capacity(runs);
+    for (ui, unit) in units.iter().enumerate() {
+        for r in 0..restarts {
+            let seed = restart_seed(config.seed, r);
+            let budget = budgets[ui * restarts + r];
+            // A successive-halving run's base key covers the whole policy
+            // (not just the nominal rung-0 budget), so two SH
+            // configurations that happen to share a rung-0 budget never
+            // replay each other's rung records or decisions.
+            let key = match schedule {
+                Some(_) => fnv1a(
+                    format!(
+                        "shrun|family={name}|fp={fingerprint:016x}|unit={}|restart={r}|\
+                         seed={seed}|policy={policy_json}",
+                        unit.label
                     )
-                } else {
-                    run_key(name, fingerprint, &unit.label, r, seed, &budget)
-                };
-                RunPlan {
-                    unit_idx: ui,
-                    restart: r,
-                    seed,
-                    budget,
-                    key,
-                }
-            })
-        })
-        .collect();
+                    .as_bytes(),
+                ),
+                None => run_key(&name, fingerprint, &unit.label, r, seed, &budget),
+            };
+            plans.push(RunPlan {
+                unit_idx: ui,
+                restart: r,
+                seed,
+                budget,
+                key,
+            });
+        }
+    }
     Ok(PlannedSweep {
         name,
         fingerprint,
         labels,
+        active_units: config.max_units.unwrap_or(units.len()).min(units.len()),
         units,
         restarts,
         policy_json,
@@ -641,79 +628,59 @@ pub(crate) fn plan_sweep(
     })
 }
 
-/// What happened to one pending calibration run.
-pub(crate) enum RunStatus {
-    Done(Box<RunRecord>),
-    Failed { attempt: usize, reason: String },
+/// One rung of the executor's schedule. A fixed-budget sweep is a single
+/// rung without a successive-halving configuration: every run spends its
+/// own planned budget at full fidelity and checkpoints as a plain run
+/// record, so fixed-budget ledgers keep their keys and events.
+struct Rung {
+    index: usize,
+    /// The successive-halving rung; `None` for the fixed-budget rung.
+    sh: Option<ShRung>,
+    fidelity: Fidelity,
 }
 
-/// Execute one pending calibration run under the fault guard, appending
-/// its checkpoint (or failure) to `ledger`. Shared by `run_sweep` and the
-/// sharded executor ([`crate::shard::run_shard`]), so a shard's records
-/// are bit-for-bit what a single-process sweep would have written.
-pub(crate) fn calibrate_one(
-    family: &dyn VersionFamily,
-    unit: &SweepUnit,
-    plan: &RunPlan,
-    attempt: usize,
-    ledger: Option<&Ledger>,
-) -> RunStatus {
-    // The guard isolates a panicking simulator version: its runs become
-    // RunFailed events and the sweep degrades instead of unwinding.
-    // (Individual evaluation panics are already quarantined inside
-    // simcal; what reaches here is a version whose calibration found no
-    // usable incumbent at all, or a family whose calibrate itself
-    // crashed.)
-    match simcal::fault::guard(|| family.calibrate(unit, plan.budget, plan.seed)) {
-        Ok(result) if result.loss.is_finite() => {
-            let record = RunRecord {
-                key: plan.key,
-                unit: unit.label.clone(),
-                restart: plan.restart,
-                seed: plan.seed,
-                result,
-            };
-            if let Some(l) = ledger {
-                log_io(l.append(&LedgerEvent::RunCompleted {
-                    record: record.clone(),
-                }));
-            }
-            RunStatus::Done(Box::new(record))
+impl Rung {
+    fn budget(&self, plan: &RunPlan) -> Budget {
+        self.sh
+            .as_ref()
+            .map_or(plan.budget, |sh| Budget::Evaluations(sh.budget))
+    }
+
+    /// Checkpoint and failure key of `plan`'s execution on this rung.
+    fn key(&self, plan: &RunPlan) -> u64 {
+        match &self.sh {
+            None => plan.key,
+            Some(sh) => rung_key(plan.key, self.index, &self.budget(plan), sh.scenario_denom),
         }
-        outcome => {
-            let reason = match outcome {
-                Ok(result) => {
-                    format!("calibration returned non-finite loss {}", result.loss)
-                }
-                Err(message) => message,
-            };
-            if let Some(l) = ledger {
-                log_io(l.append(&LedgerEvent::RunFailed {
-                    key: plan.key,
-                    unit: unit.label.clone(),
-                    restart: plan.restart,
-                    seed: plan.seed,
-                    attempt,
-                    stage: "calibrate".into(),
-                    reason: reason.clone(),
-                }));
-            }
-            RunStatus::Failed { attempt, reason }
+    }
+
+    /// The ledger event that checkpoints a completed execution.
+    fn checkpoint(&self, plan: &RunPlan, record: RunRecord) -> LedgerEvent {
+        match self.sh {
+            None => LedgerEvent::RunCompleted { record },
+            Some(_) => LedgerEvent::RungCompleted {
+                base: plan.key,
+                rung: self.index,
+                record,
+            },
         }
     }
 }
 
-/// What one rung execution of one successive-halving run produced.
-enum RungStatus {
+/// What one run's execution on one rung produced.
+enum Attempt {
     Done {
         result: CalibrationResult,
-        /// Whether the result was computed now (false = rung checkpoint).
+        /// Whether the result was computed now (false = checkpoint).
         fresh: bool,
     },
     Failed {
         attempt: usize,
         reason: String,
         retriable: bool,
+        /// Whether the attempt ran now (false = retries exhausted in
+        /// earlier executions, reported from the ledger).
+        fresh: bool,
     },
     /// Not executed: the rung's decision is sealed in the ledger and this
     /// run was eliminated without leaving a rung record — i.e. its rung
@@ -722,284 +689,385 @@ enum RungStatus {
     Skipped,
 }
 
-/// Everything the successive-halving phase hands back to the sweep.
-pub(crate) struct ShPhase {
-    /// Per base plan key: the run's result from the highest rung it
-    /// reached (eliminated runs keep their last rung's result, so every
-    /// version still gets outcomes for the Pareto reduction).
-    pub(crate) results: HashMap<u64, CalibrationResult>,
-    /// Per base plan key: which rung that result came from.
-    pub(crate) result_rungs: HashMap<u64, usize>,
-    /// Runs that produced no result on any rung.
-    pub(crate) failed: HashMap<u64, RunFailure>,
-    /// Rung executions actually computed now (not replayed).
-    pub(crate) executed: usize,
-    /// The deterministic summary for [`SweepOutcome::sh`].
-    pub(crate) report: ShReport,
+/// Everything the run phase hands back to the sweep.
+pub(crate) struct Executed {
+    /// Per base plan key: the rung a run's result came from and the
+    /// result itself, from the highest rung it reached (eliminated runs
+    /// keep their last rung's result, so every version still gets
+    /// outcomes for the Pareto reduction).
+    pub(crate) results: HashMap<u64, (usize, CalibrationResult)>,
+    /// Runs that produced no result on any rung, in plan order.
+    pub(crate) failures: Vec<RunFailure>,
+    /// Rung executions attempted now (completed or failed), not replayed.
+    pub(crate) attempted: usize,
+    /// The successive-halving summary; `None` for fixed-budget sweeps.
+    pub(crate) report: Option<ShReport>,
 }
 
-/// Execute (or replay) the successive-halving ladder over `active_plans`.
-///
-/// Per rung: serve each entrant's rung calibration from its ledger
-/// checkpoint or run it fresh (as [`LedgerEvent::RungCompleted`]), then
-/// promote. If the ledger already holds a decision for every entrant the
-/// recorded decisions are *replayed*; otherwise entrants are ranked by
-/// rung loss (ascending `total_cmp`, ties broken by plan order) and the
-/// top `survivors(r+1)` promoted, with every decision appended in plan
-/// order. A run whose rung calibration failed is never promoted.
-pub(crate) fn run_sh_phase(
-    family: &dyn VersionFamily,
-    labels: &[String],
-    units: &[SweepUnit],
-    schedule: &ShSchedule,
-    active_plans: &[&RunPlan],
-    config: &SweepConfig,
-    ledger: Option<&Ledger>,
-) -> ShPhase {
-    let (rung_records, decisions) = match ledger {
-        Some(l) => (l.rung_checkpoints(), l.rung_decisions()),
-        None => (HashMap::new(), HashMap::new()),
-    };
-    let failure_history: HashMap<u64, FailureHistory> = match ledger {
-        Some(l) => l.failure_history(),
-        None => HashMap::new(),
-    };
-    let max_attempts = 1 + config.max_fault_retries;
-    let attempts_of = |key: u64| failure_history.get(&key).map_or(0, |h| h.attempts);
-    let failure_row = |i: usize, attempt: usize, retriable: bool, stage: &str, reason: String| {
-        let p: &RunPlan = active_plans[i];
+/// The sweep executor: runs (or replays) the calibration runs of a
+/// planned sweep under its budget schedule. A fixed-budget sweep is a
+/// one-rung schedule with no eliminations; successive halving adds rungs,
+/// ranking, and sealed promotion decisions. Single-process sweeps and
+/// every shard of a sharded sweep ([`crate::shard`]) execute through this
+/// one path, so a shard's records are bit-for-bit what a single-process
+/// sweep would have written.
+pub(crate) struct Executor<'a> {
+    family: &'a dyn VersionFamily,
+    planned: &'a PlannedSweep,
+    /// The runs this execution owns, in plan order: the truncation-aware
+    /// plan prefix, restricted to a shard's round-robin slice.
+    runs: Vec<&'a RunPlan>,
+    ledger: Option<&'a Ledger>,
+    /// Attempts a keyed item gets across executions (`1 +
+    /// max_fault_retries`).
+    pub(crate) max_attempts: usize,
+    /// Checkpointed results keyed by `(base plan key, rung)`.
+    done: HashMap<(u64, usize), CalibrationResult>,
+    /// Sealed successive-halving decisions (`true` = promoted).
+    decisions: HashMap<(u64, usize), bool>,
+    /// Failure history per checkpoint key.
+    pub(crate) history: HashMap<u64, FailureHistory>,
+}
+
+impl<'a> Executor<'a> {
+    /// Prepare the runs of `planned` — all of them, or shard `index` of a
+    /// `shards`-way round-robin partition (run `i` belongs to shard
+    /// `i % shards`) — replaying checkpoints, decisions, and failure
+    /// history from `ledger`.
+    pub(crate) fn new(
+        family: &'a dyn VersionFamily,
+        planned: &'a PlannedSweep,
+        config: &SweepConfig,
+        slice: Option<(usize, usize)>,
+        ledger: Option<&'a Ledger>,
+    ) -> Self {
+        let runs = planned
+            .plans
+            .iter()
+            .take(planned.active_units * planned.restarts)
+            .enumerate()
+            .filter(|(i, _)| slice.is_none_or(|(index, shards)| i % shards == index))
+            .map(|(_, p)| p)
+            .collect();
+        let (mut done, mut decisions, mut history) =
+            (HashMap::new(), HashMap::new(), HashMap::new());
+        if let Some(l) = ledger {
+            // Fixed-budget runs checkpoint as rung 0 of their one-rung
+            // schedule; the two key spaces never collide.
+            let runs = l.checkpoints().0.into_iter().map(|(key, r)| ((key, 0), r));
+            done = runs
+                .chain(l.rung_checkpoints())
+                .map(|(at, r)| (at, r.result))
+                .collect();
+            decisions = l.rung_decisions();
+            history = l.failure_history();
+        }
+        Self {
+            family,
+            planned,
+            runs,
+            ledger,
+            max_attempts: 1 + config.max_fault_retries,
+            done,
+            decisions,
+            history,
+        }
+    }
+
+    fn rungs(&self) -> Vec<Rung> {
+        match &self.planned.schedule {
+            None => vec![Rung {
+                index: 0,
+                sh: None,
+                fidelity: Fidelity::full(),
+            }],
+            Some(schedule) => schedule
+                .rungs
+                .iter()
+                .map(|r| Rung {
+                    index: r.rung,
+                    sh: Some(r.clone()),
+                    fidelity: schedule.fidelity(r.rung),
+                })
+                .collect(),
+        }
+    }
+
+    /// Failed attempts recorded for the checkpoint key `key`.
+    pub(crate) fn attempts(&self, key: u64) -> usize {
+        self.history.get(&key).map_or(0, |h| h.attempts)
+    }
+
+    /// Runs whose first rung still has to execute. A fixed-budget run
+    /// whose retries are exhausted is not pending; under successive
+    /// halving a run is pending until its rung-0 record exists (later
+    /// rungs depend on decisions, so a flat count is the honest summary).
+    pub(crate) fn pending(&self) -> usize {
+        let first = &self.rungs()[0];
+        self.runs
+            .iter()
+            .filter(|p| {
+                !self.done.contains_key(&(p.key, 0))
+                    && (first.sh.is_some() || self.attempts(first.key(p)) < self.max_attempts)
+            })
+            .count()
+    }
+
+    fn failure(
+        &self,
+        plan: &RunPlan,
+        attempt: usize,
+        retriable: bool,
+        reason: String,
+    ) -> RunFailure {
+        let unit = &self.planned.units[plan.unit_idx];
         RunFailure {
-            version: labels[units[p.unit_idx].version].clone(),
-            unit: units[p.unit_idx].label.clone(),
-            restart: p.restart,
-            stage: stage.into(),
+            version: self.planned.labels[unit.version].clone(),
+            unit: unit.label.clone(),
+            restart: plan.restart,
+            stage: "calibrate".into(),
             attempt,
             retriable,
             reason,
         }
-    };
+    }
 
-    let levels = schedule.rungs.len();
-    let mut highest: Vec<Option<(usize, CalibrationResult)>> = vec![None; active_plans.len()];
-    let mut last_failure: Vec<Option<RunFailure>> = vec![None; active_plans.len()];
-    let mut active: Vec<usize> = (0..active_plans.len()).collect();
-    let mut rung_reports: Vec<ShRungReport> = Vec::new();
-    let mut executed = 0usize;
-
-    for rung in &schedule.rungs {
-        let r = rung.rung;
-        let entering = active.clone();
-        let fidelity = schedule.fidelity(r);
-        let rung_budget = Budget::Evaluations(rung.budget);
-        let rung_span = obs::span!("rung", rung = r, entrants = entering.len());
-        let rung_span_id = rung_span.id();
-        // A rung's decision is sealed once the ledger covers every
-        // entrant; replay then substitutes for re-ranking. (The final
-        // rung decides nothing.)
-        let sealed = r + 1 < levels
-            && entering
-                .iter()
-                .all(|&i| decisions.contains_key(&(active_plans[i].key, r)));
-
-        let statuses: Vec<RungStatus> = entering
-            .par_iter()
-            .map(|&i| {
-                let p = active_plans[i];
-                let unit = &units[p.unit_idx];
-                if let Some(rec) = rung_records.get(&(p.key, r)) {
-                    return RungStatus::Done {
-                        result: rec.result.clone(),
-                        fresh: false,
+    /// Serve `plan`'s execution on `rung` from its checkpoint, or run it
+    /// fresh under the fault guard and append its checkpoint (or failure)
+    /// to the ledger. Fresh runs open a `run` span under `parent`.
+    fn attempt(
+        &self,
+        plan: &RunPlan,
+        rung: &Rung,
+        sealed: bool,
+        parent: Option<SpanId>,
+    ) -> Attempt {
+        if let Some(result) = self.done.get(&(plan.key, rung.index)) {
+            return Attempt::Done {
+                result: result.clone(),
+                fresh: false,
+            };
+        }
+        if sealed && self.decisions.get(&(plan.key, rung.index)) == Some(&false) {
+            return Attempt::Skipped;
+        }
+        let key = rung.key(plan);
+        let prior = self.attempts(key);
+        if prior >= self.max_attempts {
+            let h = &self.history[&key];
+            return Attempt::Failed {
+                attempt: h.attempts,
+                reason: h.last_reason.clone(),
+                retriable: false,
+                fresh: false,
+            };
+        }
+        let unit = &self.planned.units[plan.unit_idx];
+        let attrs = if obs::enabled() {
+            vec![
+                ("unit", unit.label.clone()),
+                ("restart", plan.restart.to_string()),
+            ]
+        } else {
+            Vec::new()
+        };
+        let _run = obs::SpanGuard::enter_under("run", parent, attrs);
+        // The guard isolates a panicking simulator version: its runs
+        // become RunFailed events and the sweep degrades instead of
+        // unwinding. (Individual evaluation panics are already
+        // quarantined inside simcal; what reaches here is a version whose
+        // calibration found no usable incumbent at all, or a family whose
+        // calibrate itself crashed.)
+        let budget = rung.budget(plan);
+        match simcal::fault::guard(|| {
+            self.family
+                .calibrate_at(unit, budget, plan.seed, &rung.fidelity)
+        }) {
+            Ok(result) if result.loss.is_finite() => {
+                if let Some(l) = self.ledger {
+                    let record = RunRecord {
+                        key,
+                        unit: unit.label.clone(),
+                        restart: plan.restart,
+                        seed: plan.seed,
+                        result: result.clone(),
                     };
+                    log_io(l.append(&rung.checkpoint(plan, record)));
                 }
-                if sealed && decisions.get(&(p.key, r)) == Some(&false) {
-                    return RungStatus::Skipped;
+                Attempt::Done {
+                    result,
+                    fresh: true,
                 }
-                let rkey = rung_key(p.key, r, &rung_budget, rung.scenario_denom);
-                let prior = attempts_of(rkey);
-                if prior >= max_attempts {
-                    let h = &failure_history[&rkey];
-                    return RungStatus::Failed {
-                        attempt: h.attempts,
-                        reason: h.last_reason.clone(),
-                        retriable: false,
-                    };
-                }
-                let attrs = if obs::enabled() {
-                    vec![
-                        ("unit", unit.label.clone()),
-                        ("restart", p.restart.to_string()),
-                    ]
-                } else {
-                    Vec::new()
+            }
+            outcome => {
+                let reason = match outcome {
+                    Ok(result) => format!("calibration returned non-finite loss {}", result.loss),
+                    Err(message) => message,
                 };
-                let _run = obs::SpanGuard::enter_under("run", rung_span_id, attrs);
-                match simcal::fault::guard(|| {
-                    family.calibrate_at(unit, rung_budget, p.seed, &fidelity)
-                }) {
-                    Ok(result) if result.loss.is_finite() => {
-                        if let Some(l) = ledger {
-                            log_io(l.append(&LedgerEvent::RungCompleted {
-                                base: p.key,
-                                rung: r,
-                                record: RunRecord {
-                                    key: rkey,
-                                    unit: unit.label.clone(),
-                                    restart: p.restart,
-                                    seed: p.seed,
-                                    result: result.clone(),
-                                },
-                            }));
-                        }
-                        RungStatus::Done {
-                            result,
-                            fresh: true,
-                        }
-                    }
-                    outcome => {
-                        let reason = match outcome {
-                            Ok(result) => {
-                                format!("calibration returned non-finite loss {}", result.loss)
-                            }
-                            Err(message) => message,
-                        };
-                        let attempt = prior + 1;
-                        if let Some(l) = ledger {
-                            log_io(l.append(&LedgerEvent::RunFailed {
-                                key: rkey,
-                                unit: unit.label.clone(),
-                                restart: p.restart,
-                                seed: p.seed,
-                                attempt,
-                                stage: "calibrate".into(),
-                                reason: reason.clone(),
-                            }));
-                        }
-                        RungStatus::Failed {
-                            attempt,
-                            reason,
-                            retriable: attempt < max_attempts,
-                        }
-                    }
+                let attempt = prior + 1;
+                if let Some(l) = self.ledger {
+                    log_io(l.append(&LedgerEvent::RunFailed {
+                        key,
+                        unit: unit.label.clone(),
+                        restart: plan.restart,
+                        seed: plan.seed,
+                        attempt,
+                        stage: "calibrate".into(),
+                        reason: reason.clone(),
+                    }));
                 }
-            })
-            .collect();
-
-        let mut succeeded: Vec<usize> = Vec::new();
-        let mut rung_losses: HashMap<usize, f64> = HashMap::new();
-        let mut failed_count = 0usize;
-        for (&i, status) in entering.iter().zip(statuses) {
-            match status {
-                RungStatus::Done { result, fresh } => {
-                    if fresh {
-                        executed += 1;
-                    }
-                    rung_losses.insert(i, result.loss);
-                    highest[i] = Some((r, result));
-                    succeeded.push(i);
-                }
-                RungStatus::Failed {
+                Attempt::Failed {
                     attempt,
                     reason,
-                    retriable,
-                } => {
-                    failed_count += 1;
-                    last_failure[i] = Some(failure_row(i, attempt, retriable, "calibrate", reason));
-                }
-                RungStatus::Skipped => {
-                    failed_count += 1;
-                    let rkey = rung_key(active_plans[i].key, r, &rung_budget, rung.scenario_denom);
-                    if let Some(h) = failure_history.get(&rkey) {
-                        last_failure[i] = Some(failure_row(
-                            i,
-                            h.attempts,
-                            false,
-                            &h.stage,
-                            h.last_reason.clone(),
-                        ));
-                    }
+                    retriable: attempt < self.max_attempts,
+                    fresh: true,
                 }
             }
         }
+    }
 
-        let promoted: Vec<usize> = if r + 1 < levels {
-            if sealed {
-                entering
+    /// Execute (or replay) every rung over the owned runs, fanning each
+    /// rung's entrants onto the pool. Fixed-budget `run` spans parent to
+    /// `parent`; successive halving opens a `rung` span per rung and
+    /// parents its runs there.
+    ///
+    /// Per rung: serve each entrant from its checkpoint or run it fresh,
+    /// then promote. If the ledger already holds a decision for every
+    /// entrant the recorded decisions are *replayed*; otherwise entrants
+    /// are ranked by rung loss (ascending `total_cmp`, ties broken by
+    /// plan order) and the top `survivors(r+1)` promoted, with every
+    /// decision appended in plan order. A run whose rung calibration
+    /// failed is never promoted.
+    pub(crate) fn run(&self, parent: Option<SpanId>) -> Executed {
+        let rungs = self.rungs();
+        let levels = rungs.len();
+        let n = self.runs.len();
+        let mut highest: Vec<Option<(usize, CalibrationResult)>> = vec![None; n];
+        let mut last_failure: Vec<Option<RunFailure>> = vec![None; n];
+        let mut active: Vec<usize> = (0..n).collect();
+        let mut reports: Vec<ShRungReport> = Vec::new();
+        let mut attempted = 0usize;
+
+        for rung in &rungs {
+            let r = rung.index;
+            let entering = std::mem::take(&mut active);
+            let rung_span = rung
+                .sh
+                .as_ref()
+                .map(|_| obs::span!("rung", rung = r, entrants = entering.len()));
+            let parent = rung_span.as_ref().map_or(parent, obs::SpanGuard::id);
+            // A rung's decision is sealed once the ledger covers every
+            // entrant; replay then substitutes for re-ranking. (The final
+            // rung decides nothing.)
+            let sealed = r + 1 < levels
+                && entering
+                    .iter()
+                    .all(|&i| self.decisions.contains_key(&(self.runs[i].key, r)));
+            let outcomes: Vec<Attempt> = entering
+                .par_iter()
+                .map(|&i| self.attempt(self.runs[i], rung, sealed, parent))
+                .collect();
+
+            let mut succeeded: Vec<usize> = Vec::new();
+            let mut failed = 0usize;
+            for (&i, outcome) in entering.iter().zip(outcomes) {
+                let plan = self.runs[i];
+                match outcome {
+                    Attempt::Done { result, fresh } => {
+                        attempted += usize::from(fresh);
+                        highest[i] = Some((r, result));
+                        succeeded.push(i);
+                    }
+                    Attempt::Failed {
+                        attempt,
+                        reason,
+                        retriable,
+                        fresh,
+                    } => {
+                        attempted += usize::from(fresh);
+                        failed += 1;
+                        last_failure[i] = Some(self.failure(plan, attempt, retriable, reason));
+                    }
+                    Attempt::Skipped => {
+                        failed += 1;
+                        if let Some(h) = self.history.get(&rung.key(plan)) {
+                            last_failure[i] =
+                                Some(self.failure(plan, h.attempts, false, h.last_reason.clone()));
+                        }
+                    }
+                }
+            }
+
+            active = match rungs.get(r + 1) {
+                None => entering.clone(),
+                Some(_) if sealed => entering
                     .iter()
                     .copied()
-                    .filter(|&i| decisions.get(&(active_plans[i].key, r)) == Some(&true))
-                    .collect()
-            } else {
-                let target = schedule.rungs[r + 1].survivors.min(succeeded.len());
-                // Stable sort by rung loss: ties keep plan order, and
-                // only successful entrants are rankable at all.
-                let mut order = succeeded.clone();
-                order.sort_by(|&a, &b| rung_losses[&a].total_cmp(&rung_losses[&b]));
-                let mut chosen = order[..target].to_vec();
-                chosen.sort_unstable();
-                if let Some(l) = ledger {
-                    for &i in &entering {
-                        let key = active_plans[i].key;
-                        let event = if chosen.contains(&i) {
-                            LedgerEvent::RunPromoted { key, rung: r }
-                        } else {
-                            LedgerEvent::RunEliminated { key, rung: r }
-                        };
-                        log_io(l.append(&event));
+                    .filter(|&i| self.decisions.get(&(self.runs[i].key, r)) == Some(&true))
+                    .collect(),
+                Some(next) => {
+                    let survivors = next.sh.as_ref().map_or(0, |sh| sh.survivors);
+                    let target = survivors.min(succeeded.len());
+                    // Stable sort by rung loss: ties keep plan order, and
+                    // only successful entrants are rankable at all.
+                    let loss = |i: usize| highest[i].as_ref().map_or(f64::NAN, |(_, res)| res.loss);
+                    succeeded.sort_by(|&a, &b| loss(a).total_cmp(&loss(b)));
+                    let mut chosen = succeeded[..target].to_vec();
+                    chosen.sort_unstable();
+                    if let Some(l) = self.ledger {
+                        for &i in &entering {
+                            let key = self.runs[i].key;
+                            log_io(l.append(&if chosen.contains(&i) {
+                                LedgerEvent::RunPromoted { key, rung: r }
+                            } else {
+                                LedgerEvent::RunEliminated { key, rung: r }
+                            }));
+                        }
                     }
+                    chosen
                 }
-                chosen
-            }
-        } else {
-            entering.clone()
-        };
-
-        rung_reports.push(ShRungReport {
-            rung: r,
-            entrants: entering.len(),
-            budget: rung.budget,
-            scenario_denom: rung.scenario_denom,
-            promoted: promoted.len(),
-            failed: failed_count,
-        });
-        active = promoted;
-    }
-
-    let mut results = HashMap::new();
-    let mut result_rungs = HashMap::new();
-    let mut failed = HashMap::new();
-    for (i, p) in active_plans.iter().enumerate() {
-        match &highest[i] {
-            Some((r, result)) => {
-                results.insert(p.key, result.clone());
-                result_rungs.insert(p.key, *r);
-            }
-            None => {
-                let failure = last_failure[i].clone().unwrap_or_else(|| {
-                    failure_row(
-                        i,
-                        max_attempts,
-                        false,
-                        "calibrate",
-                        "rung execution skipped after recorded elimination".into(),
-                    )
+            };
+            if let Some(sh) = &rung.sh {
+                reports.push(ShRungReport {
+                    rung: r,
+                    entrants: entering.len(),
+                    budget: sh.budget,
+                    scenario_denom: sh.scenario_denom,
+                    promoted: active.len(),
+                    failed,
                 });
-                failed.insert(p.key, failure);
             }
         }
-    }
-    ShPhase {
-        results,
-        result_rungs,
-        failed,
-        executed,
-        report: ShReport {
-            eta: schedule.eta,
-            total: schedule.total,
-            min_scenarios: schedule.min_scenarios,
-            planned_evaluations: schedule.total_evaluations(),
-            rungs: rung_reports,
-        },
+
+        let mut results = HashMap::new();
+        let mut failures = Vec::new();
+        for (i, plan) in self.runs.iter().enumerate() {
+            match highest[i].take() {
+                Some(reached) => {
+                    results.insert(plan.key, reached);
+                }
+                None => failures.push(last_failure[i].take().unwrap_or_else(|| {
+                    self.failure(
+                        plan,
+                        self.max_attempts,
+                        false,
+                        "rung execution skipped after recorded elimination".into(),
+                    )
+                })),
+            }
+        }
+        Executed {
+            results,
+            failures,
+            attempted,
+            report: self.planned.schedule.as_ref().map(|s| ShReport {
+                eta: s.eta,
+                total: s.total,
+                min_scenarios: s.min_scenarios,
+                planned_evaluations: s.total_evaluations(),
+                rungs: reports,
+            }),
+        }
     }
 }
 
@@ -1061,165 +1129,39 @@ pub fn try_run_sweep(
     );
     let plan_span = obs::span!("plan");
 
-    let PlannedSweep {
-        name,
-        fingerprint,
-        labels,
-        units,
-        restarts,
-        policy_json,
-        plans,
-        schedule,
-    } = plan_sweep(family, config)?;
-
-    let active_units = config.max_units.unwrap_or(units.len()).min(units.len());
-    let (cached_runs, cached_units) = match ledger {
-        Some(l) => l.checkpoints(),
-        None => (HashMap::new(), HashMap::new()),
-    };
-    let failure_history: HashMap<u64, FailureHistory> = match ledger {
-        Some(l) => l.failure_history(),
-        None => HashMap::new(),
-    };
-    let max_attempts = 1 + config.max_fault_retries;
-    let attempts_of = |key: u64| failure_history.get(&key).map_or(0, |h| h.attempts);
+    let planned = plan_sweep(family, config)?;
+    let units = &planned.units;
+    let active_units = planned.active_units;
+    let cached_units = ledger.map(|l| l.checkpoints().1).unwrap_or_default();
+    let executor = Executor::new(family, &planned, config, None, ledger);
 
     // Phase 1: calibration runs, fanned onto the pool. Each simulation
     // objective additionally parallelizes over scenarios internally; the
     // pool's help-while-waiting scheduling nests the two levels.
-    // A run is pending unless it has a checkpoint or its recorded failed
-    // attempts already exhausted the retry allowance (then it is reported
-    // from the ledger without re-running).
-    let active_plans: Vec<&RunPlan> = plans.iter().take(active_units * restarts).collect();
-    let pending_count = match &schedule {
-        // Under successive halving a run is "pending" until its rung-0
-        // record exists (later rungs depend on decisions, so a flat
-        // count is the honest summary here).
-        Some(_) => {
-            let rung_records = ledger.map(|l| l.rung_checkpoints()).unwrap_or_default();
-            active_plans
-                .iter()
-                .filter(|p| !rung_records.contains_key(&(p.key, 0)))
-                .count()
-        }
-        None => active_plans
-            .iter()
-            .filter(|p| !cached_runs.contains_key(&p.key) && attempts_of(p.key) < max_attempts)
-            .count(),
-    };
+    let pending_count = executor.pending();
     if let Some(l) = ledger {
         log_io(l.append(&LedgerEvent::SweepStarted {
-            family: name.clone(),
-            fingerprint,
+            family: planned.name.clone(),
+            fingerprint: planned.fingerprint,
             seed: config.seed,
-            restarts,
+            restarts: planned.restarts,
             units: units.len(),
             pending_runs: pending_count,
         }));
     }
     drop(plan_span);
     let calibrate_span = obs::span!("calibrate", pending = pending_count);
-    let calibrate_id = calibrate_span.id();
-
-    let mut results: HashMap<u64, CalibrationResult> = HashMap::new();
-    let mut result_rungs: HashMap<u64, usize> = HashMap::new();
-    let mut failed_runs: HashMap<u64, RunFailure> = HashMap::new();
-    let mut sh_report: Option<ShReport> = None;
-    if let Some(schedule) = &schedule {
-        let phase = run_sh_phase(
-            family,
-            &labels,
-            &units,
-            schedule,
-            &active_plans,
-            config,
-            ledger,
-        );
-        results = phase.results;
-        result_rungs = phase.result_rungs;
-        failed_runs = phase.failed;
-        sh_report = Some(phase.report);
-    } else {
-        let pending: Vec<&RunPlan> = active_plans
-            .iter()
-            .filter(|p| !cached_runs.contains_key(&p.key) && attempts_of(p.key) < max_attempts)
-            .copied()
-            .collect();
-        let fresh: Vec<RunStatus> = pending
-            .par_iter()
-            .map(|p| {
-                let attrs = if obs::enabled() {
-                    vec![
-                        ("unit", units[p.unit_idx].label.clone()),
-                        ("restart", p.restart.to_string()),
-                    ]
-                } else {
-                    Vec::new()
-                };
-                let _run = obs::SpanGuard::enter_under("run", calibrate_id, attrs);
-                let attempt = attempts_of(p.key) + 1;
-                calibrate_one(family, &units[p.unit_idx], p, attempt, ledger)
-            })
-            .collect();
-
-        // Runs whose retries were already exhausted: reported from the
-        // ledger's history, never re-run.
-        for p in &active_plans {
-            if cached_runs.contains_key(&p.key) {
-                continue;
-            }
-            if let Some(h) = failure_history.get(&p.key) {
-                if h.attempts >= max_attempts {
-                    failed_runs.insert(
-                        p.key,
-                        RunFailure {
-                            version: labels[units[p.unit_idx].version].clone(),
-                            unit: units[p.unit_idx].label.clone(),
-                            restart: p.restart,
-                            stage: h.stage.clone(),
-                            attempt: h.attempts,
-                            retriable: false,
-                            reason: h.last_reason.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        for (key, record) in cached_runs {
-            results.insert(key, record.result);
-        }
-        for (p, status) in pending.iter().zip(fresh) {
-            match status {
-                RunStatus::Done(record) => {
-                    results.insert(record.key, record.result);
-                }
-                RunStatus::Failed { attempt, reason } => {
-                    failed_runs.insert(
-                        p.key,
-                        RunFailure {
-                            version: labels[units[p.unit_idx].version].clone(),
-                            unit: units[p.unit_idx].label.clone(),
-                            restart: p.restart,
-                            stage: "calibrate".into(),
-                            attempt,
-                            retriable: attempt < max_attempts,
-                            reason,
-                        },
-                    );
-                }
-            }
-        }
-    }
-    // Deterministic report order: plan order, regardless of which pool
-    // worker observed the failure.
-    let mut failures: Vec<RunFailure> = active_plans
-        .iter()
-        .filter_map(|p| failed_runs.get(&p.key).cloned())
-        .collect();
+    let Executed {
+        results,
+        mut failures,
+        report: sh_report,
+        ..
+    } = executor.run(calibrate_span.id());
     drop(calibrate_span);
 
     // Phase 2: per-unit winner selection + held-out evaluation, also in
     // parallel (each evaluation simulates the full test set once).
+    let restarts = planned.restarts;
     let eval_inputs: Vec<(usize, &SweepUnit)> =
         units.iter().enumerate().take(active_units).collect();
     let evaluate_span = obs::span!("evaluate", units = eval_inputs.len());
@@ -1238,36 +1180,43 @@ pub fn try_run_sweep(
             // successive halving only restarts that reached the unit's
             // highest rung compete — a loss computed on a small scenario
             // subset is not comparable to a later rung's fuller loss.
-            let per_restart: Vec<(usize, usize, CalibrationResult)> = (0..restarts)
+            let reached: Vec<(usize, &(usize, CalibrationResult))> = (0..restarts)
                 .filter_map(|r| {
-                    let key = plans[ui * restarts + r].key;
-                    results
-                        .get(&key)
-                        .map(|res| (r, result_rungs.get(&key).copied().unwrap_or(0), res.clone()))
+                    let key = planned.plans[ui * restarts + r].key;
+                    results.get(&key).map(|res| (r, res))
                 })
                 .collect();
-            if per_restart.is_empty() {
+            let Some(top_rung) = reached.iter().map(|(_, (rung, _))| *rung).max() else {
                 return UnitStatus::Skipped;
-            }
-            let top_rung = per_restart.iter().map(|&(_, g, _)| g).max().unwrap_or(0);
-            let candidates: Vec<&(usize, usize, CalibrationResult)> = per_restart
+            };
+            let (candidates, survivors): (Vec<usize>, Vec<CalibrationResult>) = reached
                 .iter()
-                .filter(|&&(_, g, _)| g == top_rung)
-                .collect();
-            let survivors: Vec<CalibrationResult> =
-                candidates.iter().map(|&(_, _, r)| r.clone()).collect();
+                .filter(|(_, (rung, _))| *rung == top_rung)
+                .map(|(r, (_, res))| (*r, res.clone()))
+                .unzip();
             let winner = pick_best(&survivors);
-            let best_restart = candidates[winner].0;
+            let best_restart = candidates[winner];
             let best = survivors[winner].clone();
-            let degraded = per_restart.len() < restarts;
+            let degraded = reached.len() < restarts;
+            let unit_failure = |stage: &str, attempt: usize, retriable: bool, reason: String| {
+                UnitStatus::Failed(RunFailure {
+                    version: planned.labels[unit.version].clone(),
+                    unit: unit.label.clone(),
+                    restart: best_restart,
+                    stage: stage.into(),
+                    attempt,
+                    retriable,
+                    reason,
+                })
+            };
 
             let ukey = unit_key(
-                &name,
-                fingerprint,
+                &planned.name,
+                planned.fingerprint,
                 &unit.label,
                 restarts,
                 config.seed,
-                &policy_json,
+                &planned.policy_json,
             );
             if let Some(rec) = cached_units.get(&ukey) {
                 return UnitStatus::Done(Box::new(UnitOutcome {
@@ -1281,18 +1230,10 @@ pub fn try_run_sweep(
                     cached: true,
                 }));
             }
-            let prior_attempts = attempts_of(ukey);
-            if prior_attempts >= max_attempts {
-                let h = &failure_history[&ukey];
-                return UnitStatus::Failed(RunFailure {
-                    version: labels[unit.version].clone(),
-                    unit: unit.label.clone(),
-                    restart: best_restart,
-                    stage: h.stage.clone(),
-                    attempt: h.attempts,
-                    retriable: false,
-                    reason: h.last_reason.clone(),
-                });
+            let prior_attempts = executor.attempts(ukey);
+            if prior_attempts >= executor.max_attempts {
+                let h = &executor.history[&ukey];
+                return unit_failure(&h.stage, h.attempts, false, h.last_reason.clone());
             }
             let t0 = Instant::now();
             let eval = match simcal::fault::guard(|| family.evaluate(unit, &best.calibration)) {
@@ -1314,15 +1255,8 @@ pub fn try_run_sweep(
                             reason: reason.clone(),
                         }));
                     }
-                    return UnitStatus::Failed(RunFailure {
-                        version: labels[unit.version].clone(),
-                        unit: unit.label.clone(),
-                        restart: best_restart,
-                        stage: "evaluate".into(),
-                        attempt,
-                        retriable: attempt < max_attempts,
-                        reason,
-                    });
+                    let retriable = attempt < executor.max_attempts;
+                    return unit_failure("evaluate", attempt, retriable, reason);
                 }
             };
             let wall_secs = t0.elapsed().as_secs_f64();
@@ -1368,7 +1302,7 @@ pub fn try_run_sweep(
     // Reduce to versions; under truncation keep only fully-covered ones.
     let _reduce_span = obs::span!("reduce");
     let mut versions = Vec::new();
-    for (vi, label) in labels.iter().enumerate() {
+    for (vi, label) in planned.labels.iter().enumerate() {
         let mine: Vec<UnitOutcome> = unit_outcomes
             .iter()
             .filter(|u| u.version == vi)
@@ -1417,7 +1351,7 @@ pub fn try_run_sweep(
         }
     }
     let outcome = SweepOutcome {
-        family: name.clone(),
+        family: planned.name.clone(),
         complete,
         versions,
         failures,
@@ -1427,7 +1361,7 @@ pub fn try_run_sweep(
     if complete {
         if let (Some(l), Some(rec)) = (ledger, &outcome.recommendation) {
             log_io(l.append(&LedgerEvent::SweepCompleted {
-                family: name,
+                family: planned.name.clone(),
                 digest: outcome.digest(),
                 chosen: rec.chosen.clone(),
             }));

@@ -5,11 +5,17 @@
 
 mod common;
 
+use batchsim::prelude::{BatchEmulatorConfig, BatchVersion, WorkloadSpec};
 use common::{tmp_ledger, ToyFamily};
-use lodsel::families::wf::WfFamily;
+use gridsim::prelude::{GridEmulatorConfig, GridSpec, GridVersion};
+use lodsel::families::wf::{AppSplit, WfFamily};
 use lodsel::prelude::*;
+use mpisim::prelude::{BenchmarkKind, MpiEmulatorConfig, MpiSimulatorVersion};
 use proptest::prelude::*;
-use simcal::prelude::{Agg, Budget, ElementMix, Objective, StructuredLoss, SubsampledObjective};
+use simcal::prelude::{
+    Agg, Budget, CalibrationResult, ElementMix, Fidelity, MatrixLoss, Objective,
+    SimulationObjective, StructuredLoss,
+};
 use wfsim::prelude::{
     dataset_for, objective, AppKind, DatasetOptions, SimulatorVersion, WfScenario,
     WorkflowSimulator,
@@ -244,13 +250,13 @@ proptest! {
         let mut total = 0.0;
         let mut count = 0usize;
         for combo in combinations(scenarios.len(), k) {
-            let sub = SubsampledObjective::new(
+            let sub = SimulationObjective::new(
                 &sim,
                 &scenarios,
-                &combo,
                 loss.clone(),
                 version.parameter_space(),
-            );
+            )
+            .subset(&combo);
             total += sub.loss(&calibration);
             count += 1;
         }
@@ -263,26 +269,107 @@ proptest! {
     }
 }
 
-/// The family-level subset path stays bit-for-bit consistent with the
-/// schedule: a full-fidelity rung delegates to the plain calibration (so
-/// it shares its cache entries), and the subset path is deterministic.
-#[test]
-fn wf_calibrate_at_full_fidelity_matches_calibrate() {
-    let family = WfFamily::paper(true, 7);
-    let unit = &family.units()[0];
-    let budget = Budget::Evaluations(4);
-    let plain = family.calibrate(unit, budget, 11);
-    let full = family.calibrate_at(unit, budget, 11, &simcal::prelude::Fidelity::full());
-    assert_eq!(plain.calibration, full.calibration);
-    assert_eq!(plain.loss, full.loss);
+/// Everything a calibration result digests, as exact bit patterns.
+fn result_bits(r: &CalibrationResult) -> (Vec<u64>, u64, usize) {
+    (
+        r.calibration.values.iter().map(|v| v.to_bits()).collect(),
+        r.loss.to_bits(),
+        r.evaluations,
+    )
+}
 
-    let fidelity = simcal::prelude::Fidelity {
+/// The family-level subset path stays bit-for-bit consistent with the
+/// schedule, for every shipped family: a full-fidelity rung is the plain
+/// calibration (so it shares its cache entries), and the subset path is
+/// deterministic. Each tiny family has two training scenarios, so the
+/// reduced fidelity below really calibrates on a one-scenario subset.
+#[test]
+fn calibrate_at_full_fidelity_matches_calibrate_for_every_family() {
+    let scenarios = tiny_wf_scenarios();
+    let wf = WfFamily::new(
+        vec![SimulatorVersion::lowest_detail()],
+        vec![AppSplit {
+            app: "montage".into(),
+            train: scenarios[..2].to_vec(),
+            test: scenarios[2..].to_vec(),
+        }],
+        StructuredLoss::paper_set()[0].clone(),
+        "L1",
+    );
+    let mpi = MpiFamily::new(
+        vec![MpiSimulatorVersion::lowest_detail()],
+        mpisim::prelude::dataset(
+            &[BenchmarkKind::PingPong, BenchmarkKind::PingPing],
+            &[8],
+            &MpiEmulatorConfig {
+                repetitions: 2,
+                ..Default::default()
+            },
+            5,
+        ),
+        MatrixLoss::paper_set()[0].clone(),
+        "L1",
+    );
+    let batch_cfg = BatchEmulatorConfig::default();
+    let batch_specs: Vec<WorkloadSpec> = (0..3)
+        .map(|i| WorkloadSpec {
+            num_jobs: 12,
+            mean_interarrival: 10.0 + 10.0 * i as f64,
+            mean_work: 60.0,
+            max_nodes_log2: 3,
+            seed: 7 + i,
+        })
+        .collect();
+    let batch = BatchFamily::new(
+        vec![BatchVersion::all()[0]],
+        batch_cfg.total_nodes,
+        batchsim::prelude::dataset(&batch_specs[..2], &batch_cfg, 1, 3),
+        batchsim::prelude::dataset(&batch_specs[2..], &batch_cfg, 1, 3),
+        StructuredLoss::new(Agg::Avg, ElementMix::AddAvg, "L3"),
+        "L3",
+    );
+    let grid_cfg = GridEmulatorConfig::default();
+    let grid_specs: Vec<GridSpec> = (0..3)
+        .map(|i| GridSpec {
+            jobs: 8,
+            files: 12,
+            mean_interarrival: 4.0 + 4.0 * i as f64,
+            seed: 11 + i,
+            ..GridSpec::default()
+        })
+        .collect();
+    let grid = GridFamily::new(
+        vec![GridVersion::all()[0]],
+        gridsim::prelude::dataset(&grid_specs[..2], &grid_cfg, 1, 3),
+        gridsim::prelude::dataset(&grid_specs[2..], &grid_cfg, 1, 3),
+        StructuredLoss::new(Agg::Avg, ElementMix::AddAvg, "L3"),
+        "L3",
+    );
+
+    let reduced = Fidelity {
         rung: 0,
-        scenario_denom: 4,
+        scenario_denom: 2,
         min_scenarios: 1,
     };
-    let a = family.calibrate_at(unit, budget, 11, &fidelity);
-    let b = family.calibrate_at(unit, budget, 11, &fidelity);
-    assert_eq!(a.calibration, b.calibration);
-    assert_eq!(a.loss, b.loss);
+    let budget = Budget::Evaluations(4);
+    let families: [&dyn VersionFamily; 4] = [&wf, &mpi, &batch, &grid];
+    for family in families {
+        let unit = &family.units()[0];
+        let plain = family.calibrate(unit, budget, 11);
+        let full = family.calibrate_at(unit, budget, 11, &Fidelity::full());
+        assert_eq!(
+            result_bits(&plain),
+            result_bits(&full),
+            "{}: full fidelity must be the plain calibration",
+            family.name()
+        );
+        let a = family.calibrate_at(unit, budget, 11, &reduced);
+        let b = family.calibrate_at(unit, budget, 11, &reduced);
+        assert_eq!(
+            result_bits(&a),
+            result_bits(&b),
+            "{}: reduced fidelity must be deterministic",
+            family.name()
+        );
+    }
 }

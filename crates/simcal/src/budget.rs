@@ -352,37 +352,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Replay a disk-cached outcome as if the objective had just produced
-    /// it: identical budget consumption, incumbent/trace updates, failure
-    /// accounting, and memo-map population — only the simulation itself
-    /// is skipped.
-    fn replay(
-        &self,
-        unit_point: &[f64],
-        key: &[u64],
-        outcome: CachedOutcome,
-    ) -> Result<f64, EvalFailure> {
-        match outcome {
-            CachedOutcome::Loss { loss } => {
-                self.record(unit_point, loss);
-                self.cache.write().insert(key.to_vec(), Cached::Loss(loss));
-                Ok(loss)
-            }
-            CachedOutcome::Panic { message } => {
-                let failure = EvalFailure::Panic { message };
-                self.record_failure(Some(key), failure.clone());
-                Err(failure)
-            }
-            CachedOutcome::NonFinite { loss_bits } => {
-                let failure = EvalFailure::NonFinite {
-                    loss: f64::from_bits(loss_bits),
-                };
-                self.record_failure(Some(key), failure.clone());
-                Err(failure)
-            }
-        }
-    }
-
     /// The fault (if any) the active plan injects into evaluation
     /// `index` of this evaluator.
     fn fault_for(&self, index: usize) -> Option<FaultKind> {
@@ -430,14 +399,56 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
+    /// Record the outcome of evaluating `unit_point` (natural units
+    /// `calib`): a finite loss updates the incumbent and the memo map,
+    /// anything else is recorded as a quarantined failure. Fresh outcomes
+    /// are persisted to the disk shard (`persist`); disk replays and
+    /// outcomes synthesized by an injected fault are not. A replay is
+    /// recorded exactly as the original evaluation was — identical budget
+    /// consumption, incumbent/trace updates, and failure accounting —
+    /// only the simulation itself is skipped.
+    fn settle(
+        &self,
+        unit_point: &[f64],
+        key: Option<&Vec<u64>>,
+        calib: &Calibration,
+        outcome: Result<f64, String>,
+        persist: bool,
+    ) -> Result<f64, EvalFailure> {
+        let (result, stored) = match outcome {
+            Ok(loss) if loss.is_finite() => {
+                self.record(unit_point, loss);
+                if let Some(k) = key {
+                    self.cache.write().insert(k.clone(), Cached::Loss(loss));
+                }
+                (Ok(loss), CachedOutcome::Loss { loss })
+            }
+            Ok(loss) => (
+                Err(EvalFailure::NonFinite { loss }),
+                CachedOutcome::NonFinite {
+                    loss_bits: loss.to_bits(),
+                },
+            ),
+            Err(message) => (
+                Err(EvalFailure::Panic {
+                    message: message.clone(),
+                }),
+                CachedOutcome::Panic { message },
+            ),
+        };
+        if let Err(failure) = &result {
+            self.record_failure(key.map(Vec::as_slice), failure.clone());
+        }
+        if persist {
+            self.persist(calib, key, stored);
+        }
+        result
+    }
+
     /// Evaluate one unit-hypercube point. Returns `None` (without
     /// evaluating) when the budget is exhausted, and `+inf` for a point
     /// whose evaluation failed (panic or non-finite loss) — see
-    /// [`Evaluator::try_eval`] for the typed variant. Routes through the
-    /// same memoization and recording path as [`Evaluator::eval_batch`]:
-    /// a cached point returns its loss without consuming a budget
-    /// evaluation, and an uncached point fans its per-scenario simulator
-    /// invocations into the thread pool via [`Objective::par_loss`].
+    /// [`Evaluator::try_eval`] for the typed variant.
     pub fn eval(&self, unit_point: &[f64]) -> Option<f64> {
         match self.try_eval(unit_point) {
             Ok(loss) => Some(loss),
@@ -447,98 +458,16 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluate one unit-hypercube point, reporting failures as typed
-    /// [`EvalFailure`] values instead of sentinel losses. A failed
-    /// evaluation consumes one budget evaluation and quarantines the
-    /// point: re-proposing it returns the same failure as a cache hit,
-    /// without re-invoking the objective.
+    /// [`EvalFailure`] values instead of sentinel losses. The point is a
+    /// batch of one through [`Evaluator::eval_batch`]'s pipeline: a
+    /// cached point returns its loss without consuming a budget
+    /// evaluation, and a failed evaluation consumes one and quarantines
+    /// the point, so re-proposing it returns the same failure as a cache
+    /// hit without re-invoking the objective.
     pub fn try_eval(&self, unit_point: &[f64]) -> Result<f64, EvalFailure> {
-        if self.exhausted() {
-            return Err(EvalFailure::BudgetExhausted);
-        }
-        let calib = self.objective.space().denormalize(unit_point);
-        let key = cache::canonical_key(&calib);
-        if let Some(key) = &key {
-            if let Some(cached) = self.cache.read().get(key).cloned() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::counter(obs::Counter::EvalCacheHits, 1);
-                return match cached {
-                    Cached::Loss(loss) => Ok(loss),
-                    Cached::Quarantined(failure) => Err(failure),
-                };
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Disk lookup behind the memo map: a hit replays the stored
-        // outcome (consuming budget, skipping the simulation).
-        if let Some(key) = &key {
-            if let Some(disk) = self.disk() {
-                if let Some(outcome) = disk.lookup(key) {
-                    obs::counter(obs::Counter::DiskCacheHits, 1);
-                    return self.replay(unit_point, key, outcome);
-                }
-                obs::counter(obs::Counter::DiskCacheMisses, 1);
-            }
-        }
-        obs::counter(obs::Counter::EvalCacheMisses, 1);
-        // The clock read is gated so the disabled path stays one
-        // relaxed atomic load.
-        let t0 = obs::enabled().then(Instant::now);
-        // The index this evaluation will record under. Exact as long as
-        // evaluations are driven from one search thread (all shipped
-        // algorithms), which is what makes fault targeting by index
-        // deterministic.
-        let index = self.count.load(Ordering::Relaxed);
-        let fault = self.fault_for(index);
-        let injected = fault.is_some();
-        let outcome = match fault {
-            Some(FaultKind::Panic) => fault::guard(|| {
-                panic!(
-                    "injected fault: panic at evaluation {index} (seed {})",
-                    self.seed
-                )
-            }),
-            Some(FaultKind::Nan) => Ok(f64::NAN),
-            None => fault::guard(|| self.objective.par_loss(&calib)),
-        };
-        match outcome {
-            Ok(loss) if loss.is_finite() => {
-                if let Some(t0) = t0 {
-                    obs::observe(obs::Hist::EvalLatency, t0.elapsed().as_secs_f64());
-                }
-                self.record(unit_point, loss);
-                if let Some(key) = &key {
-                    self.cache.write().insert(key.clone(), Cached::Loss(loss));
-                }
-                if !injected {
-                    self.persist(&calib, key.as_ref(), CachedOutcome::Loss { loss });
-                }
-                Ok(loss)
-            }
-            Ok(loss) => {
-                let failure = EvalFailure::NonFinite { loss };
-                self.record_failure(key.as_deref(), failure.clone());
-                if !injected {
-                    self.persist(
-                        &calib,
-                        key.as_ref(),
-                        CachedOutcome::NonFinite {
-                            loss_bits: loss.to_bits(),
-                        },
-                    );
-                }
-                Err(failure)
-            }
-            Err(message) => {
-                let failure = EvalFailure::Panic {
-                    message: message.clone(),
-                };
-                self.record_failure(key.as_deref(), failure.clone());
-                if !injected {
-                    self.persist(&calib, key.as_ref(), CachedOutcome::Panic { message });
-                }
-                Err(failure)
-            }
-        }
+        self.resolve(&[unit_point])
+            .and_then(|mut slots| slots.pop())
+            .unwrap_or(Err(EvalFailure::BudgetExhausted))
     }
 
     /// Evaluate a batch of points in parallel. The batch is truncated to
@@ -559,14 +488,36 @@ impl<'a> Evaluator<'a> {
     /// losses and is quarantined; it still consumes its budget
     /// evaluation.
     pub fn eval_batch(&self, unit_points: &[Vec<f64>]) -> Option<Vec<f64>> {
+        let slots = self.resolve(unit_points)?;
+        Some(
+            slots
+                .into_iter()
+                .map(|slot| slot.unwrap_or(f64::INFINITY))
+                .collect(),
+        )
+    }
+
+    /// The evaluation pipeline behind [`Evaluator::eval_batch`] and
+    /// [`Evaluator::try_eval`]: memo map, then disk cache, then the
+    /// objective (with injected faults and the panic guard), recording
+    /// and persisting every budget-consuming slot in input order. Returns
+    /// one typed result per resolved input (a prefix of `unit_points`),
+    /// or `None` when nothing could be resolved.
+    fn resolve<P: AsRef<[f64]>>(&self, unit_points: &[P]) -> Option<Vec<Result<f64, EvalFailure>>> {
         // Small enough that a wall-clock overrun is bounded by one chunk,
         // large enough to keep the pool's workers saturated (each point
         // further fans out into one item per ground-truth scenario).
         const CHUNK: usize = 32;
+        /// A window entry: resolved from the memo map, or waiting on
+        /// pending slot `k` of the chunk.
+        enum Slot {
+            Ready(Result<f64, EvalFailure>),
+            Pending(usize),
+        }
         if self.exhausted() {
             return None;
         }
-        let mut losses: Vec<f64> = Vec::with_capacity(unit_points.len());
+        let mut results: Vec<Result<f64, EvalFailure>> = Vec::with_capacity(unit_points.len());
         let mut idx = 0;
         while idx < unit_points.len() {
             let take = CHUNK.min(self.remaining());
@@ -575,29 +526,26 @@ impl<'a> Evaluator<'a> {
             }
             // Build the next window: memo hits resolve immediately;
             // budget-consuming points accumulate (deduplicated) until the
-            // chunk budget is full. `window` maps each input to Ok(cached
-            // loss) or Err(index into the pending chunk). A pending slot
-            // is either a disk-cache replay or a real invocation — both
-            // consume budget, in slot order, so evaluation indices match
-            // an uncached run exactly.
-            let mut window: Vec<Result<f64, usize>> = Vec::new();
+            // chunk budget is full. A pending slot is either a disk-cache
+            // replay or a real invocation — both consume budget, in slot
+            // order, so evaluation indices match an uncached run exactly.
+            let mut window: Vec<Slot> = Vec::new();
             let mut pending_keys: Vec<Option<Vec<u64>>> = Vec::new();
             let mut pending_calibs: Vec<Calibration> = Vec::new();
             let mut pending_inputs: Vec<usize> = Vec::new();
             let mut pending_disk: Vec<Option<CachedOutcome>> = Vec::new();
             let mut j = idx;
             while j < unit_points.len() && pending_inputs.len() < take {
-                let calib = self.objective.space().denormalize(&unit_points[j]);
+                let calib = self.objective.space().denormalize(unit_points[j].as_ref());
                 let key = cache::canonical_key(&calib);
                 let memo = key.as_ref().and_then(|k| self.cache.read().get(k).cloned());
                 if let Some(cached) = memo {
+                    // Quarantined points are served without re-invoking
+                    // the objective or re-recording the failure.
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    window.push(Ok(match cached {
-                        Cached::Loss(l) => l,
-                        // Quarantined points are served as +inf without
-                        // re-invoking the objective or re-recording the
-                        // failure.
-                        Cached::Quarantined(_) => f64::INFINITY,
+                    window.push(Slot::Ready(match cached {
+                        Cached::Loss(l) => Ok(l),
+                        Cached::Quarantined(failure) => Err(failure),
                     }));
                 } else if let Some(dup) = key
                     .as_ref()
@@ -606,12 +554,12 @@ impl<'a> Evaluator<'a> {
                     // Same canonical point already pending in this chunk:
                     // evaluate once, serve both slots.
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    window.push(Err(dup));
+                    window.push(Slot::Pending(dup));
                 } else {
                     let disk_hit = key
                         .as_ref()
                         .and_then(|k| self.disk().and_then(|d| d.lookup(k)));
-                    window.push(Err(pending_inputs.len()));
+                    window.push(Slot::Pending(pending_inputs.len()));
                     pending_keys.push(key);
                     pending_calibs.push(calib);
                     pending_inputs.push(j);
@@ -666,82 +614,36 @@ impl<'a> Evaluator<'a> {
             // disk or freshly evaluated — deterministic regardless of
             // pool scheduling, bit-for-bit identical to an uncached run.
             let mut run_outcomes = outcomes.into_iter();
-            let mut chunk_losses: Vec<f64> = Vec::with_capacity(pending_inputs.len());
-            for s in 0..pending_inputs.len() {
-                let input = pending_inputs[s];
-                let key = &pending_keys[s];
-                match pending_disk[s].take() {
-                    Some(outcome) => {
-                        let key = key.as_ref().expect("disk hits always have a key");
-                        match self.replay(&unit_points[input], key, outcome) {
-                            Ok(l) => chunk_losses.push(l),
-                            Err(_) => chunk_losses.push(f64::INFINITY),
-                        }
+            let mut settled: Vec<Result<f64, EvalFailure>> =
+                Vec::with_capacity(pending_inputs.len());
+            for (s, &input) in pending_inputs.iter().enumerate() {
+                let point = unit_points[input].as_ref();
+                let key = pending_keys[s].as_ref();
+                // A disk replay is recorded like the evaluation that
+                // stored it; only fresh, uninjected outcomes are persisted.
+                let (outcome, persist) = match pending_disk[s].take() {
+                    Some(CachedOutcome::Loss { loss }) => (Ok(loss), false),
+                    Some(CachedOutcome::NonFinite { loss_bits }) => {
+                        (Ok(f64::from_bits(loss_bits)), false)
                     }
-                    None => {
-                        let injected = self.fault_for(base + s).is_some();
-                        let outcome = run_outcomes.next().expect("one outcome per run slot");
-                        match outcome {
-                            Ok(l) if l.is_finite() => {
-                                self.record(&unit_points[input], l);
-                                if let Some(k) = key {
-                                    self.cache.write().insert(k.clone(), Cached::Loss(l));
-                                }
-                                if !injected {
-                                    self.persist(
-                                        &pending_calibs[s],
-                                        key.as_ref(),
-                                        CachedOutcome::Loss { loss: l },
-                                    );
-                                }
-                                chunk_losses.push(l);
-                            }
-                            Ok(l) => {
-                                self.record_failure(
-                                    key.as_deref(),
-                                    EvalFailure::NonFinite { loss: l },
-                                );
-                                if !injected {
-                                    self.persist(
-                                        &pending_calibs[s],
-                                        key.as_ref(),
-                                        CachedOutcome::NonFinite {
-                                            loss_bits: l.to_bits(),
-                                        },
-                                    );
-                                }
-                                chunk_losses.push(f64::INFINITY);
-                            }
-                            Err(message) => {
-                                self.record_failure(
-                                    key.as_deref(),
-                                    EvalFailure::Panic {
-                                        message: message.clone(),
-                                    },
-                                );
-                                if !injected {
-                                    self.persist(
-                                        &pending_calibs[s],
-                                        key.as_ref(),
-                                        CachedOutcome::Panic { message },
-                                    );
-                                }
-                                chunk_losses.push(f64::INFINITY);
-                            }
-                        }
-                    }
-                }
+                    Some(CachedOutcome::Panic { message }) => (Err(message), false),
+                    None => (
+                        run_outcomes.next().expect("one outcome per run slot"),
+                        self.fault_for(base + s).is_none(),
+                    ),
+                };
+                settled.push(self.settle(point, key, &pending_calibs[s], outcome, persist));
             }
-            losses.extend(window.into_iter().map(|w| match w {
-                Ok(l) => l,
-                Err(k) => chunk_losses[k],
+            results.extend(window.into_iter().map(|slot| match slot {
+                Slot::Ready(result) => result,
+                Slot::Pending(k) => settled[k].clone(),
             }));
             idx = j;
         }
-        if losses.is_empty() {
+        if results.is_empty() {
             None
         } else {
-            Some(losses)
+            Some(results)
         }
     }
 

@@ -100,9 +100,22 @@ pub trait Simulator: Sync {
 /// [`Objective`] assembled from a simulator, a ground-truth dataset, and a
 /// loss function — one simulator invocation per data point per evaluation,
 /// exactly the cost structure the paper's time-budget discussion assumes.
+///
+/// The objective can be narrowed to a deterministic scenario subset
+/// ([`SimulationObjective::subset`], [`SimulationObjective::at_fidelity`])
+/// for the cheap rungs of multi-fidelity sweeps. A subset evaluates
+/// through exactly the same paths (same fan-out shapes, same fixed-order
+/// reductions), so a subset that keeps every scenario is bit-for-bit the
+/// full objective.
 pub struct SimulationObjective<'a, S: Simulator, L> {
     simulator: &'a S,
     dataset: &'a [S::Scenario],
+    /// The scenarios one evaluation simulates, in dataset order: all of
+    /// `dataset`, or the selected subset.
+    scenarios: Vec<&'a S::Scenario>,
+    /// Content tag of the selected subset ([`crate::fidelity::subset_tag`]);
+    /// `None` while the objective covers the whole dataset.
+    tag: Option<u64>,
     loss: L,
     space: ParameterSpace,
     fingerprint: Option<crate::cache::CacheFingerprint>,
@@ -124,10 +137,44 @@ impl<'a, S: Simulator, L> SimulationObjective<'a, S, L> {
         Self {
             simulator,
             dataset,
+            scenarios: dataset.iter().collect(),
+            tag: None,
             loss,
             space,
             fingerprint: None,
         }
+    }
+
+    /// Restrict evaluation to `dataset[indices]` (indices ascending, as
+    /// [`crate::fidelity::subset_indices`] returns them). The caller must
+    /// fold [`SimulationObjective::tag`] into any cache fingerprint so
+    /// subset losses never collide with full-set losses (or other
+    /// subsets').
+    ///
+    /// # Panics
+    /// Panics if `indices` is empty or contains an out-of-range index.
+    pub fn subset(mut self, indices: &[usize]) -> Self {
+        assert!(!indices.is_empty(), "scenario subset must be non-empty");
+        self.scenarios = indices.iter().map(|&i| &self.dataset[i]).collect();
+        self.tag = Some(crate::fidelity::subset_tag(indices, self.dataset.len()));
+        self
+    }
+
+    /// The objective at `fidelity` for the run seeded `seed`: unchanged at
+    /// full fidelity (identical losses, shared cache entries), otherwise
+    /// narrowed to the seed-derived subset `fidelity` selects.
+    pub fn at_fidelity(self, fidelity: &crate::fidelity::Fidelity, seed: u64) -> Self {
+        let n = self.dataset.len();
+        if fidelity.is_full(n) {
+            self
+        } else {
+            self.subset(&fidelity.indices(n, seed))
+        }
+    }
+
+    /// Content tag of the selected subset; `None` for the whole dataset.
+    pub fn tag(&self) -> Option<u64> {
+        self.tag
     }
 
     /// Declare this objective's content address, enabling the persistent
@@ -138,10 +185,10 @@ impl<'a, S: Simulator, L> SimulationObjective<'a, S, L> {
         self
     }
 
-    /// Number of ground-truth data points (simulator invocations per loss
-    /// evaluation).
+    /// Number of scenarios one evaluation simulates (simulator
+    /// invocations per loss evaluation).
     pub fn dataset_len(&self) -> usize {
-        self.dataset.len()
+        self.scenarios.len()
     }
 }
 
@@ -160,7 +207,7 @@ where
 
     fn loss(&self, calibration: &Calibration) -> f64 {
         let outputs: Vec<S::Output> = self
-            .dataset
+            .scenarios
             .iter()
             .map(|scenario| self.simulator.run(scenario, calibration))
             .collect();
@@ -172,7 +219,7 @@ where
     /// aggregation sees exactly the sequence the sequential path builds.
     fn par_loss(&self, calibration: &Calibration) -> f64 {
         let outputs: Vec<S::Output> = self
-            .dataset
+            .scenarios
             .par_iter()
             .map(|scenario| self.simulator.run(scenario, calibration))
             .collect();
@@ -186,13 +233,13 @@ where
     /// input order and aggregated sequentially, preserving bit-for-bit
     /// equality with [`Objective::loss`].
     fn par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<f64> {
-        let n_scenarios = self.dataset.len();
+        let n_scenarios = self.scenarios.len();
         let product: Vec<(usize, usize)> = (0..calibrations.len())
             .flat_map(|c| (0..n_scenarios).map(move |s| (c, s)))
             .collect();
         let outputs: Vec<S::Output> = product
             .par_iter()
-            .map(|&(c, s)| self.simulator.run(&self.dataset[s], &calibrations[c]))
+            .map(|&(c, s)| self.simulator.run(self.scenarios[s], &calibrations[c]))
             .collect();
         outputs
             .chunks(n_scenarios)
@@ -207,14 +254,14 @@ where
     /// dataset order wins), while the other points aggregate exactly the
     /// output sequence the unguarded path builds.
     fn try_par_loss_batch(&self, calibrations: &[Calibration]) -> Vec<Result<f64, String>> {
-        let n_scenarios = self.dataset.len();
+        let n_scenarios = self.scenarios.len();
         let product: Vec<(usize, usize)> = (0..calibrations.len())
             .flat_map(|c| (0..n_scenarios).map(move |s| (c, s)))
             .collect();
         let outputs: Vec<Result<S::Output, String>> = product
             .par_iter()
             .map(|&(c, s)| {
-                crate::fault::guard(|| self.simulator.run(&self.dataset[s], &calibrations[c]))
+                crate::fault::guard(|| self.simulator.run(self.scenarios[s], &calibrations[c]))
             })
             .collect();
         let mut outputs = outputs.into_iter();
