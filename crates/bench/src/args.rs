@@ -159,7 +159,7 @@ impl ExpArgs {
     pub fn open_ledger(&self) -> Option<Ledger> {
         self.ledger.as_ref().map(|path| {
             Ledger::open(path).unwrap_or_else(|e| {
-                obs::diag!("cannot open ledger {path}: {e}");
+                obs::diag!("{e}");
                 std::process::exit(2);
             })
         })

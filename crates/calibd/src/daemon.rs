@@ -4,23 +4,19 @@
 //! ## Durability and replay
 //!
 //! Every state transition a restart must survive is appended to
-//! `data_dir/jobs.jsonl` (a [`JobEvent`] per line, read leniently like
-//! the run ledger). On startup the daemon replays the log: jobs with a
-//! `Submitted` event but no terminal event are re-queued in id order and
-//! resume from their ledger shards under `data_dir/job-<id>/` — every
+//! `data_dir/jobs.jsonl`, a [`simcal::jsonl::AppendLog`] of [`JobEvent`]s
+//! like the run ledger. On startup the daemon replays the log: jobs with
+//! a `Submitted` event but no terminal event are re-queued in id order
+//! and resume from their ledger shards under `data_dir/job-<id>/` — every
 //! calibration run already checkpointed there is served without
 //! re-consuming any budget, so a kill at any point re-runs at most the
 //! work that was in flight, and the resumed outcome digest is
 //! bit-for-bit what an uninterrupted run would have produced.
 //!
-//! The log survives a process kill at any point: startup ends a torn
-//! final line ([`lodsel::ledger::heal_torn_tail`]) before appending, and
-//! an append that failed part-way makes the next one start on a fresh
-//! line, so an event is never glued onto a fragment and lost at the next
-//! replay. A job is acknowledged only once its `Submitted` event is
-//! written; if it cannot be, the submission is refused with
-//! [`Response::Error`] and its quota charge refunded. (Appends are
-//! flushed, not synced: power loss is out of scope, as for the ledger.)
+//! A job is acknowledged only once its `Submitted` event is written; if
+//! it cannot be, the submission is refused with [`Response::Error`] and
+//! its quota charge refunded. What the log survives (a process kill, not
+//! power loss) is DESIGN.md's "Failure model", "Durable logs".
 //!
 //! ## Quota semantics
 //!
@@ -44,17 +40,17 @@ use crate::proto::{
     check_hello, counter_event, parse_request, read_frame, write_frame, FrameError, JobSpec,
     JobState, JobStatus, ProtoError, Request, Response, SCHEMA_NAME, SCHEMA_VERSION,
 };
-use lodsel::ledger::{heal_torn_tail, ledger_status, Ledger, LedgerEvent, LedgerStatus};
+use lodsel::ledger::{ledger_status, Ledger, LedgerEvent, LedgerStatus};
 use lodsel::prelude::{
     BatchFamily, BudgetPolicy, GridFamily, MpiFamily, SweepConfig, VersionFamily, WfFamily,
 };
 use lodsel::shard::{merge_shards, run_shard, shard_path};
 use lodsel::sweep::try_run_sweep;
 use serde::{Deserialize, Serialize};
+use simcal::jsonl::AppendLog;
 use simcal::prelude::{Budget, QuotaBook};
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::OpenOptions;
-use std::io::{self, BufReader, Read as _, Write as _};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -213,34 +209,13 @@ struct Shared {
     ready: Condvar,
     shutdown: AtomicBool,
     quotas: QuotaBook,
-    jobs_log: Mutex<JobLog>,
-}
-
-/// The append handle of `jobs.jsonl`.
-struct JobLog {
-    file: std::fs::File,
-    /// A failed append may have left a partial line behind; the next
-    /// append then starts on a fresh line.
-    torn: bool,
+    jobs_log: Mutex<AppendLog<JobEvent>>,
 }
 
 impl Shared {
-    /// Append one event to the job log as a single write, and flush it.
+    /// Append one event to `jobs.jsonl`.
     fn log_event(&self, event: &JobEvent) -> io::Result<()> {
-        let line = serde_json::to_string(event)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut log = self.jobs_log.lock().expect("jobs log lock");
-        let mut frame = Vec::with_capacity(line.len() + 2);
-        if log.torn {
-            frame.push(b'\n');
-        }
-        frame.extend_from_slice(line.as_bytes());
-        frame.push(b'\n');
-        log.torn = true;
-        log.file.write_all(&frame)?;
-        log.file.flush()?;
-        log.torn = false;
-        Ok(())
+        self.jobs_log.lock().expect("jobs log lock").append(event)
     }
 
     /// Append a lifecycle event whose failure cannot be answered to a
@@ -295,20 +270,12 @@ pub struct Daemon;
 impl Daemon {
     /// Bind, replay `jobs.jsonl`, and start worker + accept threads.
     pub fn start(config: DaemonConfig) -> io::Result<DaemonHandle> {
-        std::fs::create_dir_all(&config.data_dir)?;
         let quotas = QuotaBook::new(config.default_quota);
         for (tenant, limit) in &config.tenant_quotas {
             quotas.set_limit(tenant, *limit);
         }
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(config.data_dir.join("jobs.jsonl"))?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        heal_torn_tail(&mut file, &text)?;
-        let registry = replay(&text, &quotas);
+        let (jobs_log, events) = AppendLog::open(config.data_dir.join("jobs.jsonl"))?;
+        let registry = replay(events, &quotas);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -318,7 +285,7 @@ impl Daemon {
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             quotas,
-            jobs_log: Mutex::new(JobLog { file, torn: false }),
+            jobs_log: Mutex::new(jobs_log),
         });
 
         let mut threads = Vec::new();
@@ -334,14 +301,11 @@ impl Daemon {
     }
 }
 
-/// Rebuild the registry from the job log's text, re-applying quota
+/// Rebuild the registry from the job log's events, re-applying quota
 /// charges and refunds, and re-queue every non-terminal job in id order.
-fn replay(text: &str, quotas: &QuotaBook) -> Registry {
+fn replay(events: Vec<JobEvent>, quotas: &QuotaBook) -> Registry {
     let mut registry = Registry::default();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(event) = serde_json::from_str::<JobEvent>(line) else {
-            continue; // torn tail or foreign line: lenient, like the ledger
-        };
+    for event in events {
         match event {
             JobEvent::Submitted {
                 id,
@@ -974,6 +938,7 @@ mod tests {
         std::fs::write(&path, "").unwrap();
         // A read-only handle: every append to the job log fails.
         let file = std::fs::File::open(&path).unwrap();
+        let jobs_log = AppendLog::from_writer(&path, file);
         let shared = Shared {
             config: DaemonConfig::local(&dir),
             addr: "127.0.0.1:0".parse().unwrap(),
@@ -981,7 +946,7 @@ mod tests {
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             quotas: QuotaBook::new(1_000),
-            jobs_log: Mutex::new(JobLog { file, torn: false }),
+            jobs_log: Mutex::new(jobs_log),
         };
         let spec = JobSpec {
             family: "batch".into(),
@@ -1002,9 +967,6 @@ mod tests {
         }
         assert_eq!(shared.quotas.charged("t"), 0, "the charge is refunded");
         assert!(shared.registry.lock().unwrap().jobs.is_empty());
-        // The failed append may have left a fragment: the next append
-        // starts on a fresh line.
-        assert!(shared.jobs_log.lock().unwrap().torn);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -236,9 +236,10 @@ fn main() {
         max_fault_retries: opts.max_fault_retries,
         cache: opts.cache.as_ref().map(std::path::PathBuf::from),
     };
-    let ledger = opts.ledger.as_ref().map(|path| {
-        Ledger::open(path).unwrap_or_else(|e| die(&format!("cannot open ledger {path}: {e}")))
-    });
+    let ledger = opts
+        .ledger
+        .as_ref()
+        .map(|path| Ledger::open(path).unwrap_or_else(|e| die(&e.to_string())));
     let recorder = opts.trace.as_ref().map(|_| {
         let rec = Arc::new(obs::TraceRecorder::new());
         obs::install(rec.clone());

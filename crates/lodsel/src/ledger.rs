@@ -10,27 +10,20 @@
 //! resume can only ever replay a checkpoint against the exact
 //! configuration that wrote it.
 //!
-//! Reads are lenient: a torn final line (the usual signature of a kill
-//! mid-write) or any other unparseable line is skipped, not fatal —
-//! the corresponding work simply re-runs.
+//! The file is a [`simcal::jsonl::AppendLog`]: reads are lenient, so a
+//! torn final line (the usual signature of a kill mid-write) or any other
+//! unparseable line is skipped, not fatal — the corresponding work simply
+//! re-runs.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use simcal::jsonl::{self, AppendLog};
 use simcal::prelude::{Budget, CalibrationResult};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
-/// 64-bit FNV-1a hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use simcal::fnv1a;
 
 /// Checkpoint key of one calibration run.
 pub fn run_key(
@@ -429,11 +422,6 @@ pub struct FailureHistory {
     pub last_reason: String,
 }
 
-struct Inner {
-    file: File,
-    events: Vec<LedgerEvent>,
-}
-
 /// An open ledger file: loaded history plus an append handle.
 ///
 /// # Example: resuming a sweep
@@ -472,7 +460,9 @@ struct Inner {
 /// ```
 pub struct Ledger {
     path: PathBuf,
-    inner: Mutex<Inner>,
+    /// The append handle and every event seen so far (loaded plus
+    /// appended).
+    inner: Mutex<(AppendLog<LedgerEvent>, Vec<LedgerEvent>)>,
 }
 
 impl Ledger {
@@ -484,30 +474,11 @@ impl Ledger {
     /// "Is a directory".
     pub fn open(path: impl AsRef<Path>) -> io::Result<Ledger> {
         let path = path.as_ref().to_path_buf();
-        let at = |e: io::Error| {
-            io::Error::new(
-                e.kind(),
-                format!("cannot open ledger {}: {e}", path.display()),
-            )
-        };
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(at)?;
-            }
-        }
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&path)
-            .map_err(at)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text).map_err(at)?;
-        heal_torn_tail(&mut file, &text).map_err(at)?;
-        let events = parse_events(&text);
+        let (log, events) = AppendLog::open(&path)
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot open ledger {e}")))?;
         Ok(Ledger {
             path,
-            inner: Mutex::new(Inner { file, events }),
+            inner: Mutex::new((log, events)),
         })
     }
 
@@ -516,48 +487,25 @@ impl Ledger {
         &self.path
     }
 
-    /// Append one event as a JSONL line and flush it to disk.
-    ///
-    /// Transient write errors (interrupted / would-block / timed out) are
-    /// retried a bounded number of times with a short backoff; anything
-    /// else — including an event that fails to serialize — is returned as
-    /// an error rather than panicking, because a ledger hiccup must never
-    /// take down a sweep that is otherwise making progress.
+    /// Append one event as a JSONL line and flush it to disk
+    /// ([`AppendLog::append`]: transient errors are retried, and an
+    /// append after a failed one starts on a fresh line). Errors —
+    /// including an event that fails to serialize — are returned rather
+    /// than panicking, because a ledger hiccup must never take down a
+    /// sweep that is otherwise making progress.
     pub fn append(&self, event: &LedgerEvent) -> io::Result<()> {
-        let line = serde_json::to_string(event).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("ledger event does not serialize: {e}"),
-            )
-        })?;
         let mut inner = self.inner.lock();
-        let file = &mut inner.file;
-        // A failed attempt may have emitted a partial line; retries open a
-        // fresh line first so the eventual complete record parses on its
-        // own (the partial fragment is skipped by the lenient reader).
-        let mut dirty = false;
-        retry_transient(|| {
-            if dirty {
-                file.write_all(b"\n")?;
-            }
-            dirty = true;
-            file.write_all(line.as_bytes())?;
-            file.write_all(b"\n")?;
-            file.flush()
-        })
-        .map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!("cannot append to ledger {}: {e}", self.path.display()),
-            )
-        })?;
-        inner.events.push(event.clone());
+        inner
+            .0
+            .append(event)
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot append to ledger {e}")))?;
+        inner.1.push(event.clone());
         Ok(())
     }
 
     /// Snapshot of all events seen so far (loaded plus appended).
     pub fn events(&self) -> Vec<LedgerEvent> {
-        self.inner.lock().events.clone()
+        self.inner.lock().1.clone()
     }
 
     /// The run and unit checkpoints currently in the ledger, keyed by
@@ -566,7 +514,7 @@ impl Ledger {
     pub fn checkpoints(&self) -> (HashMap<u64, RunRecord>, HashMap<u64, UnitRecord>) {
         let mut runs = HashMap::new();
         let mut units = HashMap::new();
-        for event in self.inner.lock().events.iter() {
+        for event in self.inner.lock().1.iter() {
             match event {
                 LedgerEvent::RunCompleted { record } => {
                     runs.insert(record.key, record.clone());
@@ -585,7 +533,7 @@ impl Ledger {
     /// (a re-run of identical work writes an identical record anyway).
     pub fn rung_checkpoints(&self) -> HashMap<(u64, usize), RunRecord> {
         let mut rungs = HashMap::new();
-        for event in self.inner.lock().events.iter() {
+        for event in self.inner.lock().1.iter() {
             if let LedgerEvent::RungCompleted { base, rung, record } = event {
                 rungs.insert((*base, *rung), record.clone());
             }
@@ -600,7 +548,7 @@ impl Ledger {
     /// coverage) replays its final decision set.
     pub fn rung_decisions(&self) -> HashMap<(u64, usize), bool> {
         let mut decisions = HashMap::new();
-        for event in self.inner.lock().events.iter() {
+        for event in self.inner.lock().1.iter() {
             match event {
                 LedgerEvent::RunPromoted { key, rung } => {
                     decisions.insert((*key, *rung), true);
@@ -621,7 +569,7 @@ impl Ledger {
     /// a key that has a checkpoint — checkpoints win.
     pub fn failure_history(&self) -> HashMap<u64, FailureHistory> {
         let mut failures: HashMap<u64, FailureHistory> = HashMap::new();
-        for event in self.inner.lock().events.iter() {
+        for event in self.inner.lock().1.iter() {
             if let LedgerEvent::RunFailed {
                 key, stage, reason, ..
             } = event
@@ -642,64 +590,8 @@ impl Ledger {
     /// Read the events of a ledger file without opening it for appends.
     /// A missing file reads as empty.
     pub fn read(path: impl AsRef<Path>) -> io::Result<Vec<LedgerEvent>> {
-        match std::fs::read_to_string(path.as_ref()) {
-            Ok(text) => Ok(parse_events(&text)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(e),
-        }
+        jsonl::read(path)
     }
-}
-
-/// Whether an I/O error kind is worth retrying: the write may succeed if
-/// simply re-attempted a moment later.
-fn is_transient(kind: io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Run `op`, retrying transient I/O errors with a short backoff (at most
-/// three retries). Each retry bumps [`obs::Counter::LedgerRetries`].
-/// Permanent errors — and transient ones that outlast the backoff
-/// schedule — are returned to the caller.
-pub(crate) fn retry_transient<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-    const RETRY_BACKOFF_MS: [u64; 3] = [1, 5, 20];
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(e) if attempt < RETRY_BACKOFF_MS.len() && is_transient(e.kind()) => {
-                obs::counter(obs::Counter::LedgerRetries, 1);
-                std::thread::sleep(std::time::Duration::from_millis(RETRY_BACKOFF_MS[attempt]));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Heal the torn tail of an append-only JSONL file whose current content
-/// is `text`: a kill mid-write leaves no trailing newline, so end that
-/// fragment and start the next append on a fresh line where it parses on
-/// its own (lenient readers skip the fragment). `file` must be open for
-/// appending. Shared by every JSONL store that appends after a restart.
-pub fn heal_torn_tail(file: &mut File, text: &str) -> io::Result<()> {
-    if !text.is_empty() && !text.ends_with('\n') {
-        retry_transient(|| {
-            file.write_all(b"\n")?;
-            file.flush()
-        })?;
-    }
-    Ok(())
-}
-
-/// Parse JSONL leniently: skip blank and unparseable lines.
-fn parse_events(text: &str) -> Vec<LedgerEvent> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| serde_json::from_str::<LedgerEvent>(l).ok())
-        .collect()
 }
 
 #[cfg(test)]
@@ -845,59 +737,6 @@ mod tests {
         assert!(msg.contains("cannot open ledger"), "{msg}");
         assert!(msg.contains(&dir.display().to_string()), "{msg}");
         let _ = std::fs::remove_dir(&dir);
-    }
-
-    /// The retry tests bump the process-global `LedgerRetries` counter;
-    /// they serialize on this lock so one test's retries never land in
-    /// another's recorder.
-    fn retry_counter_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn retry_transient_retries_interrupted_writes_and_counts_them() {
-        use std::io::ErrorKind;
-        let _serial = retry_counter_lock();
-        let recorder = std::sync::Arc::new(obs::TraceRecorder::new());
-        obs::install(recorder.clone());
-        let mut attempts = 0;
-        let out = retry_transient(|| {
-            attempts += 1;
-            if attempts < 3 {
-                Err(io::Error::new(ErrorKind::Interrupted, "interrupted"))
-            } else {
-                Ok(attempts)
-            }
-        });
-        obs::uninstall();
-        assert_eq!(out.unwrap(), 3);
-        assert_eq!(recorder.counter_value(obs::Counter::LedgerRetries), 2);
-    }
-
-    #[test]
-    fn retry_transient_gives_up_on_permanent_errors_immediately() {
-        use std::io::ErrorKind;
-        let mut attempts = 0;
-        let out: io::Result<()> = retry_transient(|| {
-            attempts += 1;
-            Err(io::Error::new(ErrorKind::PermissionDenied, "nope"))
-        });
-        assert_eq!(out.unwrap_err().kind(), ErrorKind::PermissionDenied);
-        assert_eq!(attempts, 1, "permanent errors must not be retried");
-    }
-
-    #[test]
-    fn retry_transient_is_bounded_for_persistent_transient_errors() {
-        use std::io::ErrorKind;
-        let _serial = retry_counter_lock();
-        let mut attempts = 0;
-        let out: io::Result<()> = retry_transient(|| {
-            attempts += 1;
-            Err(io::Error::new(ErrorKind::Interrupted, "still interrupted"))
-        });
-        assert_eq!(out.unwrap_err().kind(), ErrorKind::Interrupted);
-        assert_eq!(attempts, 4, "one initial attempt plus three retries");
     }
 
     #[test]

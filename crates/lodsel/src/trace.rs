@@ -11,6 +11,7 @@
 
 use crate::report::{fnum, Table};
 use serde::Value;
+use simcal::jsonl;
 
 /// One span parsed back out of a trace file.
 #[derive(Clone, Debug)]
@@ -76,8 +77,7 @@ fn get_str(v: &Value, key: &str) -> Option<String> {
 /// this reader understands; skips malformed or unknown event lines
 /// (forward compatibility, mirroring the ledger's lenient reads).
 pub fn parse_trace(text: &str) -> Result<TraceFile, String> {
-    let mut lines = text.lines();
-    let meta_line = lines.next().ok_or("empty trace file")?;
+    let meta_line = text.lines().next().ok_or("empty trace file")?;
     let meta: Value = serde_json::from_str(meta_line).map_err(|e| format!("bad meta line: {e}"))?;
     match get_str(&meta, "schema") {
         Some(s) if s == obs::trace::SCHEMA_NAME => {}
@@ -101,13 +101,8 @@ pub fn parse_trace(text: &str) -> Result<TraceFile, String> {
         version,
         ..TraceFile::default()
     };
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(v) = serde_json::from_str::<Value>(line) else {
-            continue; // torn tail or foreign line: skip, like the ledger
-        };
+    // Torn or foreign event lines are skipped, like the ledger's.
+    for v in jsonl::parse_lenient::<Value>(&text[meta_line.len()..]) {
         match get_str(&v, "event").as_deref() {
             Some("span") => {
                 let (Some(id), Some(name)) = (get_u64(&v, "id"), get_str(&v, "name")) else {

@@ -33,8 +33,9 @@ pub enum Counter {
     /// Times a pool worker parked (timed wait) because no work was
     /// available anywhere.
     PoolParks,
-    /// Transient ledger write errors that were retried (with backoff)
-    /// before succeeding or giving up.
+    /// Transient I/O errors retried (with backoff) by any append log —
+    /// run ledger, loss-cache shard or `calibd` job log — before
+    /// succeeding or giving up. Named for the ledger, its first user.
     LedgerRetries,
     /// Evaluations replayed from the persistent on-disk loss cache
     /// (budget consumed, simulation skipped).

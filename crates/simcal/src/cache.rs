@@ -15,15 +15,11 @@
 //!   [`canonical_key`]. Changing the simulator version (or the ground-truth
 //!   dataset) changes the digest and therefore the shard — stale entries
 //!   are never consulted, so invalidation is automatic.
-//! - **Never fails a calibration.** Every I/O path retries transient
-//!   errors with bounded backoff and then degrades to memory-only
-//!   operation: a cache that cannot be read or written is diagnosed once
-//!   (via `obs::diag!`) and silently skipped thereafter.
-//! - **Torn tails heal.** Shards are append-only JSONL with the same
-//!   lenient read discipline as the lodsel run ledger: a half-written
-//!   final line (crash mid-append) is terminated on open, and unparsable
-//!   lines are skipped rather than failing the load. Later records win on
-//!   key collision.
+//! - **Never fails a calibration.** Shards are [`crate::jsonl::AppendLog`]s:
+//!   torn tails heal on open, unparsable lines are skipped, and later
+//!   records win on key collision. Any log error degrades the cache to
+//!   memory-only operation, diagnosed once (via `obs::diag!`); the
+//!   durability contract is DESIGN.md's "Failure model", "Durable logs".
 //! - **Failures are cached too.** A quarantined evaluation (panic or
 //!   non-finite loss) is persisted as a typed record so a warm run replays
 //!   the quarantine without re-invoking the broken simulator.
@@ -33,23 +29,13 @@
 //! variable; evaluators snapshot the active directory at construction, the
 //! same discipline [`crate::fault`] uses for fault plans.
 
+use crate::jsonl::{self, AppendLog};
 use crate::param::Calibration;
+use crate::{fnv1a, fnv1a_words};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-
-/// 64-bit FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Canonical cache bits of one calibration component: `-0.0` folds into
 /// `0.0` (they are equal calibrations and must share an entry), and a NaN
@@ -112,12 +98,9 @@ impl CacheFingerprint {
     /// difference in objective, version, scenario set, or seed lands in a
     /// different file.
     pub fn shard_id(&self, seed: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for part in [self.objective, self.version, self.scenarios, seed] {
-            h ^= fnv1a(&part.to_le_bytes());
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a_words(
+            [self.objective, self.version, self.scenarios, seed].map(|p| fnv1a(&p.to_le_bytes())),
+        )
     }
 }
 
@@ -158,33 +141,6 @@ pub struct CacheRecord {
     pub outcome: CachedOutcome,
 }
 
-/// Transient-error retry backoff, mirroring the lodsel ledger discipline.
-const RETRY_BACKOFF_MS: [u64; 3] = [1, 5, 20];
-
-fn is_transient(kind: std::io::ErrorKind) -> bool {
-    matches!(
-        kind,
-        std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::WouldBlock
-            | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Run `op`, retrying transient I/O errors with bounded backoff.
-fn retry_transient<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    let mut attempt = 0;
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(e) if is_transient(e.kind()) && attempt < RETRY_BACKOFF_MS.len() => {
-                std::thread::sleep(std::time::Duration::from_millis(RETRY_BACKOFF_MS[attempt]));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// One shard of the on-disk loss cache, bound to a single calibration
 /// run's (fingerprint, seed). All I/O errors degrade to memory-only
 /// operation; no method ever fails the caller.
@@ -193,7 +149,7 @@ pub struct DiskCache {
     entries: RwLock<HashMap<Vec<u64>, CachedOutcome>>,
     /// Append handle; `None` once the cache has permanently degraded to
     /// memory-only after an unrecoverable I/O error.
-    file: Mutex<Option<File>>,
+    log: Mutex<Option<AppendLog<CacheRecord>>>,
 }
 
 impl DiskCache {
@@ -205,66 +161,21 @@ impl DiskCache {
     /// diagnoses the reason once — it never returns an error.
     pub fn open(dir: &Path, shard: u64) -> Self {
         let path = shard_path(dir, shard);
-        let opened = retry_transient(|| {
-            std::fs::create_dir_all(dir)?;
-            OpenOptions::new()
-                .create(true)
-                .read(true)
-                .append(true)
-                .open(&path)
-        });
-        let mut file = match opened {
-            Ok(f) => Some(f),
+        let (log, records) = match AppendLog::open(&path) {
+            Ok((log, records)) => (Some(log), records),
             Err(e) => {
-                obs::diag!(
-                    "loss cache degraded to memory-only ({}): {e}",
-                    path.display()
-                );
-                None
+                obs::diag!("loss cache degraded to memory-only: {e}");
+                (None, Vec::new())
             }
         };
-        let mut entries = HashMap::new();
-        if let Some(f) = file.as_mut() {
-            let mut text = String::new();
-            match retry_transient(|| {
-                text.clear();
-                let mut f2 = f.try_clone()?;
-                std::io::Seek::seek(&mut f2, std::io::SeekFrom::Start(0))?;
-                f2.read_to_string(&mut text)?;
-                Ok(())
-            }) {
-                Ok(()) => {
-                    if !text.is_empty() && !text.ends_with('\n') {
-                        // Torn tail from a crash mid-append: terminate it so
-                        // the next append starts on a fresh line. Best
-                        // effort — a failure here only risks one more torn
-                        // line, which the lenient parse below skips anyway.
-                        let _ = retry_transient(|| {
-                            f.write_all(b"\n")?;
-                            f.flush()
-                        });
-                    }
-                    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                        if let Ok(record) = serde_json::from_str::<CacheRecord>(line) {
-                            if let Some(key) = canonical_key_of(&record.values) {
-                                entries.insert(key, record.outcome);
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    obs::diag!(
-                        "loss cache degraded to memory-only ({}): {e}",
-                        path.display()
-                    );
-                    file = None;
-                }
-            }
-        }
+        let entries = records
+            .into_iter()
+            .filter_map(|r: CacheRecord| Some((canonical_key_of(&r.values)?, r.outcome)))
+            .collect();
         Self {
             path,
             entries: RwLock::new(entries),
-            file: Mutex::new(file),
+            log: Mutex::new(log),
         }
     }
 
@@ -292,29 +203,10 @@ impl DiskCache {
             values: values.to_vec(),
             outcome,
         };
-        let line = serde_json::to_string(&record).expect("cache record serializes");
-        let mut file = self.file.lock().unwrap();
-        if let Some(f) = file.as_mut() {
-            // `dirty` guards against a partial write followed by a
-            // transient success: start the retry on a fresh line so the
-            // record is never glued to its own torn prefix.
-            let mut dirty = false;
-            let result = retry_transient(|| {
-                if dirty {
-                    f.write_all(b"\n")?;
-                }
-                dirty = true;
-                f.write_all(line.as_bytes())?;
-                f.write_all(b"\n")?;
-                f.flush()
-            });
-            if let Err(e) = result {
-                obs::diag!(
-                    "loss cache degraded to memory-only ({}): {e}",
-                    self.path.display()
-                );
-                *file = None;
-            }
+        let mut log = self.log.lock().unwrap();
+        if let Some(Err(e)) = log.as_mut().map(|l| l.append(&record)) {
+            obs::diag!("loss cache degraded to memory-only: {e}");
+            *log = None;
         }
     }
 
@@ -330,7 +222,7 @@ impl DiskCache {
 
     /// True once the cache has fallen back to memory-only operation.
     pub fn degraded(&self) -> bool {
-        self.file.lock().unwrap().is_none()
+        self.log.lock().unwrap().is_none()
     }
 
     /// The shard file this cache reads and appends.
@@ -351,15 +243,10 @@ pub fn load_finite_observations(
     seed: u64,
 ) -> Vec<(Vec<f64>, f64)> {
     let path = shard_path(dir, fingerprint.shard_id(seed));
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return Vec::new();
-    };
+    let records: Vec<CacheRecord> = jsonl::read(path).unwrap_or_default();
     let mut order: Vec<Vec<u64>> = Vec::new();
     let mut by_key: HashMap<Vec<u64>, (Vec<f64>, f64)> = HashMap::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(record) = serde_json::from_str::<CacheRecord>(line) else {
-            continue;
-        };
+    for record in records {
         let Some(key) = canonical_key_of(&record.values) else {
             continue;
         };
@@ -430,6 +317,8 @@ pub fn current() -> Option<Arc<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Collision-free temp directory (tests run concurrently).

@@ -112,19 +112,12 @@ pub fn subset_indices(n: usize, k: usize, seed: u64, rung: usize) -> Vec<usize> 
 /// Content tag of a concrete subset, for loss-cache fingerprints: two
 /// different subsets of the same dataset must never share cache entries.
 pub fn subset_tag(indices: &[usize], full_len: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(full_len as u64);
-    mix(indices.len() as u64);
-    for &i in indices {
-        mix(i as u64);
-    }
-    h
+    let bytes: Vec<u8> = [full_len, indices.len()]
+        .iter()
+        .chain(indices)
+        .flat_map(|&v| (v as u64).to_le_bytes())
+        .collect();
+    crate::fnv1a(&bytes)
 }
 
 #[cfg(test)]

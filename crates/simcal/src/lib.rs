@@ -28,6 +28,9 @@
 //! - [`fault`] — panic isolation ([`fault::guard`]), the typed
 //!   [`fault::EvalFailure`] quarantine taxonomy, and the deterministic
 //!   [`fault::FaultPlan`] injection harness behind the chaos tests;
+//! - [`jsonl`] — the durable append-only JSONL log ([`jsonl::AppendLog`])
+//!   behind the loss cache, the `lodsel` run ledger and `calibd`'s job
+//!   log;
 //! - [`fidelity`] — deterministic scenario subsampling
 //!   ([`objective::SimulationObjective::at_fidelity`]) for the cheap
 //!   rungs of multi-fidelity (successive-halving) sweeps;
@@ -72,12 +75,28 @@ pub mod cache;
 pub mod calibrate;
 pub mod fault;
 pub mod fidelity;
+pub mod jsonl;
 pub mod loss;
 pub mod objective;
 pub mod param;
 pub mod quota;
 pub mod surrogate;
 pub mod synthetic;
+
+/// 64-bit FNV-1a over a byte string: the one hash behind every persistent
+/// key (ledger run keys, loss-cache shard ids, dataset fingerprints).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_words(bytes.iter().map(|&b| u64::from(b)))
+}
+
+/// The FNV-1a fold over 64-bit words instead of bytes: each word is
+/// XORed in whole before the multiply. Chains component digests (e.g.
+/// per-field [`fnv1a`] hashes) into one key.
+pub fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// One-stop imports for framework users.
 pub mod prelude {
