@@ -117,28 +117,11 @@ impl Matrix {
 
     /// Cholesky factorization `self = L * L^T` for a symmetric
     /// positive-definite matrix. Returns `None` when the matrix is not
-    /// (numerically) positive definite.
+    /// (numerically) positive definite. Only the lower triangle is read.
     pub fn cholesky(&self) -> Option<Cholesky> {
         assert_eq!(self.rows, self.cols, "cholesky requires a square matrix");
-        let n = self.rows;
-        let mut l = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[i * n + k] * l[j * n + k];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return None;
-                    }
-                    l[i * n + i] = sum.sqrt();
-                } else {
-                    l[i * n + j] = sum / l[j * n + j];
-                }
-            }
-        }
-        Some(Cholesky { n, l })
+        let mut ch = Cholesky::empty();
+        ch.extend(self.rows, |i, j| self[(i, j)]).then_some(ch)
     }
 
     /// Solve the symmetric positive-definite system `self * x = b` via
@@ -180,13 +163,47 @@ impl IndexMut<(usize, usize)> for Matrix {
 }
 
 /// Lower-triangular Cholesky factor `L` with `A = L L^T`.
+///
+/// `L` is stored packed: row `i` holds its `i + 1` entries on and below
+/// the diagonal, rows back to back, `n (n + 1) / 2` values in all. Rows
+/// only ever append, so [`Cholesky::extend`] grows a factor in place
+/// when the factored matrix gains trailing rows and columns.
+///
+/// Every entry is computed with the textbook row-oriented expression:
+/// `sum = a[i][j]`, then `sum -= l[i][k] * l[j][k]` for `k` ascending,
+/// then a square root (diagonal) or a division by `l[j][j]`. No fused
+/// multiply-add and no reassociation, so a factor grown row block by row
+/// block is bit-identical to one computed in a single pass.
 #[derive(Clone, Debug)]
 pub struct Cholesky {
     n: usize,
     l: Vec<f64>,
 }
 
+/// Offset of row `i` in the packed lower triangle.
+#[inline]
+fn row_start(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
+/// Rows [`Cholesky::extend`] computes per pass: independent subtraction
+/// chains that keep the FP units busy without changing any chain's order.
+const LANES: usize = 4;
+
+/// Right-hand sides [`Cholesky::solve_lower_block`] solves per pass. Held
+/// interleaved, they vectorize: 16 lanes are 8 two-wide (SSE2) chains,
+/// enough to cover the subtraction latency.
+const RHS_LANES: usize = 16;
+
 impl Cholesky {
+    /// The factor of a `0 x 0` matrix, ready to [`extend`](Self::extend).
+    pub fn empty() -> Self {
+        Self {
+            n: 0,
+            l: Vec::new(),
+        }
+    }
+
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.n
@@ -198,23 +215,136 @@ impl Cholesky {
         if j > i {
             0.0
         } else {
-            self.l[i * self.n + j]
+            self.l[row_start(i) + j]
         }
+    }
+
+    /// Row `i` of `L`, from column 0 to the diagonal.
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        &self.l[row_start(i)..row_start(i + 1)]
+    }
+
+    /// Grow the factor of the leading `dim() x dim()` block of a
+    /// symmetric matrix `A` to its leading `n x n` block. `entry(i, j)`
+    /// returns `A[i][j]`; it is called once for every `dim() <= i < n`,
+    /// `j <= i`. Returns `false`, leaving the factor unchanged, when the
+    /// `n x n` block is not (numerically) positive definite.
+    ///
+    /// Work is `O((n - dim()) n^2)`; the result is bit-identical to
+    /// factoring the `n x n` block from scratch.
+    ///
+    /// # Panics
+    /// Panics if `n < dim()`.
+    pub fn extend(&mut self, n: usize, mut entry: impl FnMut(usize, usize) -> f64) -> bool {
+        let m = self.n;
+        assert!(n >= m, "extend cannot shrink a factor ({m} -> {n})");
+        let l = &mut self.l;
+        l.reserve_exact(row_start(n) - row_start(m));
+        for i in m..n {
+            l.extend((0..=i).map(|j| entry(i, j)));
+        }
+        // Column by column: the new rows' entries in column `j` need
+        // only columns `< j` of their own row and row `j` up to its
+        // diagonal, which is final once column `j`'s diagonal is.
+        for j in 0..n {
+            let (head, tail) = l.split_at_mut(row_start(j + 1));
+            let (row_j, diag) = head[row_start(j)..].split_at_mut(j);
+            if j >= m {
+                let mut sum = diag[0];
+                for &v in row_j.iter() {
+                    sum -= v * v;
+                }
+                if sum <= 0.0 || !sum.is_finite() {
+                    l.truncate(row_start(m));
+                    return false;
+                }
+                diag[0] = sum.sqrt();
+            }
+            let (row_j, diag) = (&*row_j, diag[0]);
+            // Rows below the diagonal, `LANES` at a time. `tail` starts
+            // at row `j + 1`.
+            let mut i = (j + 1).max(m);
+            while i + LANES <= n {
+                let offs: [usize; LANES] =
+                    std::array::from_fn(|r| row_start(i + r) - row_start(j + 1));
+                let rows: [&[f64]; LANES] = offs.map(|o| &tail[o..o + j]);
+                let mut sum: [f64; LANES] = offs.map(|o| tail[o + j]);
+                for (k, &v) in row_j.iter().enumerate() {
+                    for r in 0..LANES {
+                        sum[r] -= rows[r][k] * v;
+                    }
+                }
+                for r in 0..LANES {
+                    tail[offs[r] + j] = sum[r] / diag;
+                }
+                i += LANES;
+            }
+            for i in i..n {
+                let o = row_start(i) - row_start(j + 1);
+                let mut sum = tail[o + j];
+                for (&a, &v) in tail[o..o + j].iter().zip(row_j) {
+                    sum -= a * v;
+                }
+                tail[o + j] = sum / diag;
+            }
+        }
+        self.n = n;
+        true
     }
 
     /// Solve `L y = b` (forward substitution).
     pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
         assert_eq!(b.len(), self.n);
-        let n = self.n;
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for (j, &yj) in y.iter().enumerate().take(i) {
-                sum -= self.l[i * n + j] * yj;
+        let mut y = b.to_vec();
+        for i in 0..self.n {
+            let row = self.row(i);
+            let mut sum = y[i];
+            for (&a, &yj) in row[..i].iter().zip(&y[..i]) {
+                sum -= a * yj;
             }
-            y[i] = sum / self.l[i * n + i];
+            y[i] = sum / row[i];
         }
         y
+    }
+
+    /// Solve `L y = b` in place for every right-hand side in `bs`,
+    /// overwriting each `b` with its `y`. Right-hand sides are
+    /// interleaved so one pass over a row of `L` serves several of
+    /// them; each is bit-identical to [`solve_lower`](Self::solve_lower).
+    ///
+    /// # Panics
+    /// Panics if any right-hand side's length differs from `dim()`.
+    pub fn solve_lower_block(&self, bs: &mut [Vec<f64>]) {
+        let n = self.n;
+        assert!(bs.iter().all(|b| b.len() == n), "rhs length must equal dim");
+        // Lane `r` of `ys[k]` is entry `k` of the group's `r`-th
+        // right-hand side (zero in lanes a short last group leaves
+        // unused): the inner loop is one independent subtraction per
+        // lane, which the compiler turns into packed SIMD arithmetic.
+        let mut ys: Vec<[f64; RHS_LANES]> = vec![[0.0; RHS_LANES]; n];
+        for group in bs.chunks_mut(RHS_LANES) {
+            for (k, y) in ys.iter_mut().enumerate() {
+                *y = std::array::from_fn(|r| group.get(r).map_or(0.0, |b| b[k]));
+            }
+            for i in 0..n {
+                let row = self.row(i);
+                let (done, rest) = ys.split_at_mut(i);
+                let mut sum = rest[0];
+                for (&a, y) in row[..i].iter().zip(done.iter()) {
+                    for r in 0..RHS_LANES {
+                        sum[r] -= a * y[r];
+                    }
+                }
+                let d = row[i];
+                rest[0] = sum.map(|s| s / d);
+            }
+            for (r, b) in group.iter_mut().enumerate() {
+                for (bk, y) in b.iter_mut().zip(&ys) {
+                    *bk = y[r];
+                }
+            }
+        }
     }
 
     /// Solve `L^T x = y` (backward substitution).
@@ -224,10 +354,14 @@ impl Cholesky {
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut sum = y[i];
+            // Down column `i`: `L[j][i]` sits `j + 1` values after
+            // `L[j - 1][i]`.
+            let mut at = row_start(i + 1) + i;
             for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                sum -= self.l[j * n + i] * xj;
+                sum -= self.l[at] * xj;
+                at += j + 1;
             }
-            x[i] = sum / self.l[i * n + i];
+            x[i] = sum / self.l[row_start(i) + i];
         }
         x
     }
@@ -240,7 +374,7 @@ impl Cholesky {
     /// `log(det(A)) = 2 * sum(log(diag(L)))`.
     pub fn log_det(&self) -> f64 {
         (0..self.n)
-            .map(|i| self.l[i * self.n + i].ln())
+            .map(|i| self.l[row_start(i) + i].ln())
             .sum::<f64>()
             * 2.0
     }

@@ -11,7 +11,8 @@
 //!   counter in the workspace (kernel events, heap re-inserts, sharing
 //!   re-solves, evaluator cache hits/misses, pool steals/parks).
 //! - **Histograms** — [`Hist`] names fixed log-spaced-bucket latency
-//!   histograms (per-evaluation latency).
+//!   histograms (per-evaluation latency, BO surrogate fit and
+//!   acquisition).
 //!
 //! Everything funnels through a process-global [`Recorder`]. The
 //! default recorder is a no-op behind a single relaxed atomic-bool

@@ -114,16 +114,23 @@ pub enum Hist {
     /// Wall-clock seconds per objective evaluation (one calibration
     /// point simulated across all its scenarios).
     EvalLatency,
+    /// Wall-clock seconds per BO surrogate fit.
+    SurrogateFit,
+    /// Wall-clock seconds per BO acquisition step: candidate
+    /// generation, surrogate scoring and batch selection.
+    Acquire,
 }
 
 impl Hist {
     /// All histograms, in trace-emission order.
-    pub const ALL: [Hist; 1] = [Hist::EvalLatency];
+    pub const ALL: [Hist; 3] = [Hist::EvalLatency, Hist::SurrogateFit, Hist::Acquire];
 
     /// Stable snake_case name used in the JSONL trace.
     pub fn name(self) -> &'static str {
         match self {
             Hist::EvalLatency => "eval_latency_secs",
+            Hist::SurrogateFit => "surrogate_fit_secs",
+            Hist::Acquire => "acquire_secs",
         }
     }
 

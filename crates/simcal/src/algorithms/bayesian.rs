@@ -12,6 +12,11 @@ use crate::surrogate::SurrogateKind;
 use numeric::{norm_cdf, norm_pdf, rng_from_seed};
 use rand::Rng;
 use rayon::prelude::*;
+use std::time::Instant;
+
+/// Candidates scored per pool task. Fixed, so the work split (and with it
+/// every score) does not depend on the thread count.
+const SCORE_BLOCK: usize = 64;
 
 /// Bayesian optimization with a pluggable surrogate.
 #[derive(Clone, Debug)]
@@ -71,6 +76,30 @@ fn expected_improvement(mean: f64, std: f64, best: f64) -> f64 {
     (best - mean) * norm_cdf(z) + std * norm_pdf(z)
 }
 
+/// Evaluate `batch` and append its finite `(point, loss)` pairs to the
+/// fit set; `false` once the budget refuses the batch. Quarantined
+/// evaluations surface as +inf losses (and a custom evaluator could hand
+/// back NaN): non-finite pairs must never reach the surrogate fit or pick
+/// the incumbent, or in release builds they would silently poison every
+/// later prediction. In the fault-free case the filter is a no-op.
+fn evaluate_into(
+    evaluator: &Evaluator<'_>,
+    batch: &[Vec<f64>],
+    fit_xs: &mut Vec<Vec<f64>>,
+    fit_ys: &mut Vec<f64>,
+) -> bool {
+    let Some(losses) = evaluator.eval_batch(batch) else {
+        return false;
+    };
+    for (x, y) in batch.iter().zip(losses) {
+        if y.is_finite() {
+            fit_xs.push(x.clone());
+            fit_ys.push(y);
+        }
+    }
+    true
+}
+
 impl SearchAlgorithm for BayesianOpt {
     fn name(&self) -> &'static str {
         match self.surrogate {
@@ -85,67 +114,47 @@ impl SearchAlgorithm for BayesianOpt {
         let dim = evaluator.space().dim();
         let mut rng = rng_from_seed(seed);
 
-        // Warm-start observations participate in every surrogate fit but
-        // are never evaluated and never consume budget.
-        let warm: Vec<(Vec<f64>, f64)> = self
-            .warm_start
-            .iter()
-            .filter(|(x, y)| x.len() == dim && y.is_finite())
-            .cloned()
-            .collect();
-
-        // Observation history (unit points and losses).
-        let mut xs: Vec<Vec<f64>> = Vec::new();
-        let mut ys: Vec<f64> = Vec::new();
+        // The surrogate's fit set: warm-start observations first (they
+        // participate in every fit but are never evaluated and never
+        // consume budget), then this run's evaluations in order. It only
+        // ever grows at the end, which is what lets the GP extend its
+        // factors in place instead of refactoring.
+        let mut fit_xs: Vec<Vec<f64>> = Vec::new();
+        let mut fit_ys: Vec<f64> = Vec::new();
+        for (x, y) in &self.warm_start {
+            if x.len() == dim && y.is_finite() {
+                fit_xs.push(x.clone());
+                fit_ys.push(*y);
+            }
+        }
 
         // Initial design: uniform random.
         let init: Vec<Vec<f64>> = (0..self.n_initial.max(2))
             .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
             .collect();
-        match evaluator.eval_batch(&init) {
-            Some(losses) => {
-                let n = losses.len();
-                xs.extend_from_slice(&init[..n]);
-                ys.extend(losses);
-            }
-            None => return,
+        if !evaluate_into(evaluator, &init, &mut fit_xs, &mut fit_ys) {
+            return;
         }
 
         let mut surrogate = self.surrogate.build(seed ^ 0x5eed);
         while !evaluator.exhausted() {
-            // Quarantined evaluations surface as +inf losses (and a
-            // custom evaluator could hand back NaN); non-finite pairs
-            // must never reach the surrogate fit or pick the incumbent —
-            // in release builds they would silently poison every
-            // subsequent prediction. In the fault-free case the filter
-            // is a no-op, so trajectories are unchanged.
-            let (fit_xs, fit_ys): (Vec<Vec<f64>>, Vec<f64>) = warm
-                .iter()
-                .map(|(x, y)| (x.clone(), *y))
-                .chain(
-                    xs.iter()
-                        .zip(&ys)
-                        .filter(|&(_, y)| y.is_finite())
-                        .map(|(x, &y)| (x.clone(), y)),
-                )
-                .unzip();
             if fit_xs.is_empty() {
                 // Every evaluation so far failed: nothing to model, so
                 // explore uniformly at random until something survives.
                 let batch: Vec<Vec<f64>> = (0..self.batch_size.max(1))
                     .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
                     .collect();
-                match evaluator.eval_batch(&batch) {
-                    Some(losses) => {
-                        let n = losses.len();
-                        xs.extend_from_slice(&batch[..n]);
-                        ys.extend(losses);
-                    }
-                    None => return,
+                if !evaluate_into(evaluator, &batch, &mut fit_xs, &mut fit_ys) {
+                    return;
                 }
                 continue;
             }
+            let t_fit = obs::enabled().then(Instant::now);
             surrogate.fit(&fit_xs, &fit_ys);
+            if let Some(t) = t_fit {
+                obs::observe(obs::Hist::SurrogateFit, t.elapsed().as_secs_f64());
+            }
+            let t_acquire = obs::enabled().then(Instant::now);
             let best_y = fit_ys.iter().copied().fold(f64::INFINITY, f64::min);
             let best_x = fit_xs[numeric::argmin(&fit_ys).expect("non-empty history")].clone();
 
@@ -189,19 +198,26 @@ impl SearchAlgorithm for BayesianOpt {
             // predicted mean (greedy exploitation). A pure-EI batch tends
             // to chase high-uncertainty corners of a 10-D cube forever; the
             // greedy half keeps refining the incumbent basin.
-            // Scoring 512 candidates against a GP over a growing history
-            // is the one surrogate-side hot spot; predictions are
-            // independent, so fan them into the pool (collection stays in
-            // candidate order, keeping the acquisition sort deterministic).
-            let preds: Vec<(f64, f64)> = candidates
+            // Scoring the candidates against a GP over a growing history
+            // is the surrogate-side hot spot; fixed-size blocks fan into
+            // the pool and are collected in candidate order, so the
+            // scores (and the acquisition sort) are the same at any
+            // thread count.
+            let blocks: Vec<&[Vec<f64>]> = candidates.chunks(SCORE_BLOCK).collect();
+            let scored: Vec<Vec<(f64, f64)>> = blocks
                 .par_iter()
-                .map(|c| surrogate.predict(c))
+                .map(|block| surrogate.predict_batch(block))
+                .collect();
+            let preds = scored.concat();
+            let ei: Vec<f64> = preds
+                .iter()
+                .map(|&(mean, std)| expected_improvement(mean, std, best_y))
                 .collect();
             let mut by_ei: Vec<usize> = (0..candidates.len()).collect();
             by_ei.sort_by(|&a, &b| {
-                let ea = expected_improvement(preds[a].0, preds[a].1, best_y);
-                let eb = expected_improvement(preds[b].0, preds[b].1, best_y);
-                eb.partial_cmp(&ea).unwrap_or(std::cmp::Ordering::Equal)
+                ei[b]
+                    .partial_cmp(&ei[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
             });
             let mut by_mean: Vec<usize> = (0..candidates.len()).collect();
             by_mean.sort_by(|&a, &b| {
@@ -226,14 +242,12 @@ impl SearchAlgorithm for BayesianOpt {
                 }
             }
             let batch: Vec<Vec<f64>> = chosen.iter().map(|&i| candidates[i].clone()).collect();
+            if let Some(t) = t_acquire {
+                obs::observe(obs::Hist::Acquire, t.elapsed().as_secs_f64());
+            }
 
-            match evaluator.eval_batch(&batch) {
-                Some(losses) => {
-                    let n = losses.len();
-                    xs.extend_from_slice(&batch[..n]);
-                    ys.extend(losses);
-                }
-                None => return,
+            if !evaluate_into(evaluator, &batch, &mut fit_xs, &mut fit_ys) {
+                return;
             }
         }
     }
@@ -406,6 +420,61 @@ mod tests {
         // objective at the reported unit point.
         assert!((loss - f(&unit)).abs() < 1e-12);
         assert!(loss < 0.05, "warm-started search should home in: {loss}");
+    }
+
+    #[test]
+    fn gp_search_past_max_points_is_pinned() {
+        // 240 evaluations grow the GP's fit set past `max_points` = 200,
+        // so both the in-place factor extension (up to 200 points) and the
+        // rebuild after subsampling run. The pinned bits were recorded
+        // with the dense refactor-every-step GP; any drift in the
+        // surrogate's arithmetic changes them.
+        let obj = make_objective(3, |v| {
+            (v[0] - 0.62).powi(2)
+                + 0.5 * (v[1] - 0.27).powi(2)
+                + 0.2 * (v[2] - 0.81).abs()
+                + 0.03 * (9.0 * v[0]).sin() * (7.0 * v[2]).cos()
+        });
+        let run = |warm: Vec<(Vec<f64>, f64)>| {
+            let ev = Evaluator::new(&obj, Budget::Evaluations(240));
+            BayesianOpt::new(SurrogateKind::GaussianProcess)
+                .with_warm_start(warm)
+                .search(&ev, 17);
+            assert_eq!(ev.evaluations(), 240);
+            let (loss, unit, _) = ev.best().unwrap();
+            (
+                loss.to_bits(),
+                unit.iter().map(|u| u.to_bits()).collect::<Vec<u64>>(),
+            )
+        };
+        let cold = run(Vec::new());
+        let warm = run(vec![
+            (vec![0.1, 0.9, 0.3], 0.4),
+            (vec![0.6, 0.3, 0.8], 0.01),
+            (vec![0.9, 0.1, 0.5], 0.3),
+        ]);
+        assert_eq!(
+            cold,
+            (
+                13804748682157043149,
+                vec![
+                    4603280701531702644,
+                    4598535270173525360,
+                    4605474144587899189
+                ]
+            )
+        );
+        assert_eq!(
+            warm,
+            (
+                13804768426929485204,
+                vec![
+                    4603302504398700513,
+                    4598536193748896225,
+                    4605471590026631517
+                ]
+            )
+        );
     }
 
     #[test]

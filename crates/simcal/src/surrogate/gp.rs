@@ -4,9 +4,16 @@
 //! from a small grid by log marginal likelihood, which is the behaviour
 //! that matters for BO (adapting to how wiggly the loss landscape is)
 //! without a full hyperparameter optimizer.
+//!
+//! BO refits after every batch on a fit set that, until subsampling
+//! starts, only grows at the end. The GP therefore keeps one packed
+//! Cholesky factor per length scale and extends it in place when the new
+//! fit set starts with the old one bit for bit; anything else rebuilds
+//! the factors. Both paths produce the same bits (see
+//! [`numeric::Cholesky`]).
 
 use super::Surrogate;
-use numeric::Matrix;
+use numeric::Cholesky;
 
 /// Gaussian process with kernel
 /// `k(a, b) = exp(-||a - b||^2 / (2 l^2)) + noise * 1{a == b}` over
@@ -19,14 +26,22 @@ pub struct GaussianProcess {
     pub noise: f64,
     /// Cap on training points; the most recent and best points are kept.
     pub max_points: usize,
+    /// The fit set the factors were built on, after subsampling.
+    points: Vec<Vec<f64>>,
+    /// Kernel Cholesky factor over `points` per entry of `length_scales`;
+    /// `None` where that kernel matrix is not positive definite.
+    factors: Vec<Option<Cholesky>>,
+    /// Bits of the `length_scales` and `noise` the factors were built
+    /// with; a change forces a rebuild.
+    kernel_bits: Vec<u64>,
     fitted: Option<Fitted>,
 }
 
 #[derive(Clone, Debug)]
 struct Fitted {
-    x: Vec<Vec<f64>>,
+    /// Index of the chosen length scale (and its factor).
+    scale: usize,
     alpha: Vec<f64>,
-    chol: numeric::Cholesky,
     length_scale: f64,
     y_mean: f64,
     y_std: f64,
@@ -38,6 +53,9 @@ impl Default for GaussianProcess {
             length_scales: vec![0.05, 0.1, 0.2, 0.5, 1.0],
             noise: 1e-6,
             max_points: 200,
+            points: Vec::new(),
+            factors: Vec::new(),
+            kernel_bits: Vec::new(),
             fitted: None,
         }
     }
@@ -47,93 +65,169 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 impl GaussianProcess {
-    /// Subsample training data to `max_points`: keep the `max_points / 2`
-    /// best (lowest-y) points plus the most recent remainder. BO cares most
-    /// about modelling the promising region and the frontier.
-    fn subsample<'a>(&self, x: &'a [Vec<f64>], y: &'a [f64]) -> (Vec<Vec<f64>>, Vec<f64>) {
-        if x.len() <= self.max_points {
-            return (x.to_vec(), y.to_vec());
+    /// Indices of the training points to fit, ascending: all of them up
+    /// to `max_points`, else the `max_points / 2` best (lowest-y) points
+    /// plus the most recent remainder. BO cares most about modelling the
+    /// promising region and the frontier.
+    fn subsample(&self, y: &[f64]) -> Vec<usize> {
+        if y.len() <= self.max_points {
+            return (0..y.len()).collect();
         }
         let keep_best = self.max_points / 2;
-        let mut order: Vec<usize> = (0..x.len()).collect();
+        let mut order: Vec<usize> = (0..y.len()).collect();
         order.sort_by(|&a, &b| y[a].partial_cmp(&y[b]).unwrap_or(std::cmp::Ordering::Equal));
         let mut selected: Vec<usize> = order[..keep_best].to_vec();
-        let recent_start = x.len() - (self.max_points - keep_best);
-        for i in recent_start..x.len() {
+        let recent_start = y.len() - (self.max_points - keep_best);
+        for i in recent_start..y.len() {
             if !selected.contains(&i) {
                 selected.push(i);
             }
         }
         selected.sort_unstable();
         selected.truncate(self.max_points);
-        (
-            selected.iter().map(|&i| x[i].clone()).collect(),
-            selected.iter().map(|&i| y[i]).collect(),
-        )
+        selected
     }
 
-    fn fit_at_scale(
-        x: &[Vec<f64>],
-        ys: &[f64],
-        l: f64,
-        noise: f64,
-    ) -> Option<(numeric::Cholesky, Vec<f64>, f64)> {
-        let n = x.len();
-        let mut k =
-            Matrix::from_symmetric_fn(n, |i, j| (-sq_dist(&x[i], &x[j]) / (2.0 * l * l)).exp());
-        k.add_diagonal(noise + 1e-10);
-        let chol = k.cholesky()?;
-        let alpha = chol.solve(ys);
-        // log marginal likelihood = -0.5 y^T alpha - 0.5 log det K - n/2 log 2pi
-        let lml = -0.5 * ys.iter().zip(&alpha).map(|(a, b)| a * b).sum::<f64>()
-            - 0.5 * chol.log_det()
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-        Some((chol, alpha, lml))
+    /// Bring `points` and `factors` to the fit set `x[keep]`: extend in
+    /// place when the current fit set is a bitwise prefix of it under an
+    /// unchanged kernel, otherwise rebuild from empty factors.
+    fn update_factors(&mut self, x: &[Vec<f64>], keep: &[usize]) {
+        let kernel_bits: Vec<u64> = self
+            .length_scales
+            .iter()
+            .chain([&self.noise])
+            .map(|v| v.to_bits())
+            .collect();
+        let is_prefix = kernel_bits == self.kernel_bits
+            && self.points.len() <= keep.len()
+            && self
+                .points
+                .iter()
+                .zip(keep)
+                .all(|(p, &i)| same_bits(p, &x[i]));
+        if !is_prefix {
+            self.points.clear();
+            self.factors = vec![Some(Cholesky::empty()); self.length_scales.len()];
+            self.kernel_bits = kernel_bits;
+        }
+        let known = self.points.len();
+        self.points
+            .extend(keep[known..].iter().map(|&i| x[i].clone()));
+
+        let (points, diag) = (&self.points, self.noise + 1e-10);
+        for (factor, &l) in self.factors.iter_mut().zip(&self.length_scales) {
+            let Some(chol) = factor else {
+                // Not PD over a prefix, so not PD over the whole set.
+                continue;
+            };
+            let pd = chol.extend(points.len(), |i, j| {
+                let k = (-sq_dist(&points[i], &points[j]) / (2.0 * l * l)).exp();
+                if i == j {
+                    k + diag
+                } else {
+                    k
+                }
+            });
+            if !pd {
+                *factor = None;
+            }
+        }
+    }
+
+    /// Kernel column `k(points, x)` at the fitted length scale.
+    fn kstar(&self, l: f64, x: &[f64]) -> Vec<f64> {
+        self.points
+            .iter()
+            .map(|xi| (-sq_dist(xi, x) / (2.0 * l * l)).exp())
+            .collect()
+    }
+
+    fn fitted(&self) -> (&Fitted, &Cholesky) {
+        let f = self.fitted.as_ref().expect("predict before fit");
+        let chol = self.factors[f.scale]
+            .as_ref()
+            .expect("the chosen length scale has a factor");
+        (f, chol)
+    }
+
+    /// Predictive `(mean, std)` from a kernel column, its dot product with
+    /// `alpha`, and its forward solve `v = L^-1 k*`.
+    fn moments(&self, f: &Fitted, mean_std: f64, v: &[f64]) -> (f64, f64) {
+        let var = (1.0 + self.noise - v.iter().map(|x| x * x).sum::<f64>()).max(0.0);
+        (f.y_mean + f.y_std * mean_std, f.y_std * var.sqrt())
     }
 }
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| a * b).sum::<f64>()
+}
+
+/// Candidates scored per [`Cholesky::solve_lower_block`] call; bounds
+/// the kernel columns held at once.
+const PREDICT_BLOCK: usize = 64;
 
 impl Surrogate for GaussianProcess {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit on empty data");
-        let (x, y) = self.subsample(x, y);
+        let keep = self.subsample(y);
+        // The factors change under any previous fit.
+        self.fitted = None;
+        self.update_factors(x, &keep);
 
+        let y: Vec<f64> = keep.iter().map(|&i| y[i]).collect();
         let y_mean = numeric::mean(&y);
         let y_std = numeric::std_dev(&y).max(1e-12);
         let ys: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
 
-        let mut best: Option<(f64, numeric::Cholesky, Vec<f64>, f64)> = None;
-        for &l in &self.length_scales {
-            if let Some((chol, alpha, lml)) = Self::fit_at_scale(&x, &ys, l, self.noise) {
-                if best.as_ref().is_none_or(|(b, ..)| lml > *b) {
-                    best = Some((lml, chol, alpha, l));
-                }
+        let n = ys.len();
+        let mut best: Option<(f64, usize, Vec<f64>)> = None;
+        for (scale, chol) in self.factors.iter().enumerate() {
+            let Some(chol) = chol else { continue };
+            let alpha = chol.solve(&ys);
+            // log marginal likelihood = -0.5 y^T alpha - 0.5 log det K - n/2 log 2pi
+            let lml = -0.5 * dot(&ys, &alpha)
+                - 0.5 * chol.log_det()
+                - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+            if best.as_ref().is_none_or(|(b, ..)| lml > *b) {
+                best = Some((lml, scale, alpha));
             }
         }
-        let (_, chol, alpha, length_scale) =
-            best.expect("at least one length scale must yield a PD kernel");
+        let (_, scale, alpha) = best.expect("at least one length scale must yield a PD kernel");
         self.fitted = Some(Fitted {
-            x,
+            scale,
             alpha,
-            chol,
-            length_scale,
+            length_scale: self.length_scales[scale],
             y_mean,
             y_std,
         });
     }
 
     fn predict(&self, x: &[f64]) -> (f64, f64) {
-        let f = self.fitted.as_ref().expect("predict before fit");
-        let l = f.length_scale;
-        let kstar: Vec<f64> =
-            f.x.iter()
-                .map(|xi| (-sq_dist(xi, x) / (2.0 * l * l)).exp())
+        let (f, chol) = self.fitted();
+        let kstar = self.kstar(f.length_scale, x);
+        let v = chol.solve_lower(&kstar);
+        self.moments(f, dot(&kstar, &f.alpha), &v)
+    }
+
+    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        let (f, chol) = self.fitted();
+        let mut out = Vec::with_capacity(xs.len());
+        for block in xs.chunks(PREDICT_BLOCK) {
+            let mut ks: Vec<Vec<f64>> = block
+                .iter()
+                .map(|x| self.kstar(f.length_scale, x))
                 .collect();
-        let mean_std = kstar.iter().zip(&f.alpha).map(|(a, b)| a * b).sum::<f64>();
-        let v = f.chol.solve_lower(&kstar);
-        let var = (1.0 + self.noise - v.iter().map(|x| x * x).sum::<f64>()).max(0.0);
-        (f.y_mean + f.y_std * mean_std, f.y_std * var.sqrt())
+            let means: Vec<f64> = ks.iter().map(|k| dot(k, &f.alpha)).collect();
+            chol.solve_lower_block(&mut ks);
+            out.extend(means.iter().zip(&ks).map(|(&m, v)| self.moments(f, m, v)));
+        }
+        out
     }
 }
 
@@ -181,12 +275,18 @@ mod tests {
             max_points: 10,
             ..Default::default()
         };
-        let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64 / 49.0]).collect();
-        // Minimum at index 7.
+        // 50 points, minimum at index 7.
         let y: Vec<f64> = (0..50).map(|i| ((i as f64) - 7.0).abs()).collect();
-        let (xs, ys) = gp.subsample(&x, &y);
-        assert_eq!(xs.len(), 10);
-        assert!(ys.contains(&0.0), "best point must survive subsampling");
+        let keep = gp.subsample(&y);
+        assert_eq!(keep.len(), 10);
+        assert!(
+            keep.windows(2).all(|w| w[0] < w[1]),
+            "indices stay in order"
+        );
+        assert!(
+            keep.iter().any(|&i| y[i] == 0.0),
+            "best point must survive subsampling"
+        );
     }
 
     #[test]

@@ -28,6 +28,13 @@ pub trait Surrogate: Send + Sync {
 
     /// Predictive mean and standard deviation at `x`.
     fn predict(&self, x: &[f64]) -> (f64, f64);
+
+    /// [`predict`](Self::predict) at every point of `xs`, in order. An
+    /// override may share work across the points but must return the
+    /// same bits as `predict`.
+    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        xs.iter().map(|x| self.predict(x)).collect()
+    }
 }
 
 /// Which surrogate a [`crate::algorithms::BayesianOpt`] uses.
